@@ -153,12 +153,24 @@ for CUT in 40 50; do
     echo "    cut $CUT: $SALVAGE_LINE"
 done
 
-echo "==> differential campaign: sharded stores and the config grid"
-# Sharded-vs-plain store equivalence (randomized, seeds checked in) and
-# the 240-case verdict sweep over shards x batch x delivery: any verdict
-# difference from the seed configuration fails here.
-timeout 300 cargo test -q --offline -p rma-core --test sharded_prop
+echo "==> differential campaign: the production engine and the config grid"
+# Chunked FlatStore vs the paper-faithful tree (randomized, seeds checked
+# in: byte-identical snapshots after every op, equal stats) and the
+# 240-case verdict sweep over batch x delivery: any verdict that differs
+# from the suite's ground truth fails here.
+timeout 300 cargo test -q --offline -p rma-core --test engine_prop
 timeout 600 cargo test -q --offline -p rma-suite --test grid_equivalence
+
+echo "==> flake gate: the MUST supervision suite, 20 runs"
+# Worker kills must force a respawn deterministically; a test that
+# passes only on some runs is a defect, so one failure in 20 fails CI.
+for RUN in $(seq 1 20); do
+    if ! timeout 300 cargo test -q --offline -p rma-must --test must_behaviour > /dev/null 2>&1; then
+        echo "ERROR: must_behaviour failed on run $RUN of 20" >&2
+        exit 1
+    fi
+done
+echo "    20 of 20 runs passed"
 
 echo "==> bench_hotpath smoke: runs, self-validates, baseline stays well-formed"
 # The smoke benchmark must complete quickly and emit a schema-valid
@@ -170,11 +182,11 @@ timeout 120 "$BENCH_HOTPATH" --smoke --out "$SMOKE_DIR/bench_smoke.json"
 "$BENCH_HOTPATH" --check "$SMOKE_DIR/bench_smoke.json"
 "$BENCH_HOTPATH" --check BENCH_hotpath.json
 
-echo "==> bench regression guard: adaptive engine never loses to the seed config"
-# The checked-in baseline must show adaptive-flat at >= 1.0x the seed
-# configuration (fragmerge, shards=1, batch=1) on every workload row
-# with identical race verdicts — that is the PR 6 acceptance bar, and
-# regenerating the baseline with a regression re-introduced fails here.
+echo "==> bench regression guard: the production engine never loses to the tree"
+# The checked-in baseline must show flat (the chunked production engine)
+# at >= 1.0x fragmerge (the paper-faithful tree) on every workload row
+# with identical race verdicts, so regenerating the baseline with a
+# regression re-introduced fails here.
 # The freshly-measured smoke run gets a generous slack factor: 3-sample
 # smoke timings on a loaded CI machine are noisy, so the fresh-run
 # guard only catches gross regressions (an engine that got ~2x slower),

@@ -90,9 +90,7 @@ impl MethodRun {
                     delivery: Delivery::Direct,
                     node_budget: None,
                     max_respawns: 3,
-                    shards: 1,
                     batch_size: 1,
-                    engine: Default::default(),
                 }));
                 MethodRun {
                     monitor: analyzer.clone(),

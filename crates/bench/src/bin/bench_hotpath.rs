@@ -1,19 +1,22 @@
 //! Hot-path detection benchmark with a reproducible baseline:
-//! replays the checked-in trace corpus plus synthetic high-churn
-//! workloads through seven store configurations — naive full-history,
-//! legacy RMA-Analyzer, fragmentation+merging over the AVL tree (plain
-//! and sharded), the flat sorted-vec engine (plain and sharded), and
-//! the adaptive engine (flat until promotion) — and emits
+//! replays the checked-in trace corpus plus synthetic workloads through
+//! four store configurations — naive full-history, legacy RMA-Analyzer,
+//! fragmentation+merging over the AVL tree (the paper-faithful
+//! reference) and the chunked flat engine (production) — and emits
 //! `BENCH_hotpath.json` holding, per (workload, config): median
 //! events/second, peak node count, and fast-path hit rate.
+//!
+//! The synthetic workloads cover the access shapes that separate the
+//! layouts: ascending interleaved regions (`churn`, 4 regions, and
+//! `interleaved`, 16 — the lockstep walk), a dense ascending stream
+//! inserted below a sparse one (`two-frontier`, the shape of a miniVite
+//! rank's store), and a small dense hotspot where everything merges.
 //!
 //! Besides the offline replays, the `live/churn` rows drive the full
 //! `Messages`-mode analyzer pipeline (origin-side records, notification
 //! batching, receiver threads, epoch drain) through a two-rank simulated
-//! world: plain fragmerge (tree engine, 1 shard, batch 1) against the
-//! PR 5 sharded tree hot path (`shards` = 4, `batch_size` = 64) and the
-//! adaptive flat hot path (batch 64). The headline speedup ratios come
-//! from these rows.
+//! world with the production engine, unbatched (`flat`) and with
+//! `batch_size` = 64 (`flat-batch64`).
 //!
 //! The JSON is byte-stable modulo the timing fields: `events`,
 //! `peak_nodes`, `fast_hit_rate` and `races` are pure functions of the
@@ -32,17 +35,14 @@
 //!   benchmarking: required keys present, every number finite; exits
 //!   non-zero on violation;
 //! * `--guard <path> [--tolerance <f>]` — regression guard: on every
-//!   workload row of an existing report, `adaptive-flat` must reach at
-//!   least `tolerance` × the `fragmerge` (seed configuration)
-//!   events/sec — and report the identical race count. `tolerance`
-//!   defaults to `1.0` (for the frozen checked-in baseline); CI passes
-//!   a slack factor for freshly-measured smoke runs on noisy machines.
+//!   workload with a `fragmerge` row, `flat` must reach at least
+//!   `tolerance` × the `fragmerge` events/sec — and report the identical
+//!   race count. `tolerance` defaults to `1.0` (for the frozen
+//!   checked-in baseline); CI passes a slack factor for
+//!   freshly-measured smoke runs on noisy machines.
 
-use rma_core::{
-    AccessStore, AdaptiveCfg, AdaptiveStore, FlatStore, FragMergeStore, Interval, LegacyStore,
-    NaiveStore, ShardedStore, SrcLoc,
-};
-use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, Engine, OnRace, RmaAnalyzer};
+use rma_core::{AccessStore, FlatStore, FragMergeStore, Interval, LegacyStore, NaiveStore, SrcLoc};
+use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
 use rma_sim::{Monitor, RankId, World, WorldCfg};
 use rma_substrate::bench::BenchGroup;
 use rma_trace::{replay_trace, ReplayOutcome, StoreTarget, Trace, TraceEvent, TraceHeader};
@@ -50,9 +50,10 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Shard count of the fixed-sharding configurations (matches the grid
-/// tested by `grid_equivalence.rs` and the chaos kill-worker sweep).
-const SHARDS: usize = 4;
+/// Regions of the churn workloads (offline and live).
+const CHURN_REGIONS: u64 = 4;
+/// Regions of the interleaved workload: the lockstep walk's shape.
+const INTERLEAVED_REGIONS: u64 = 16;
 
 /// The store configurations compared.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -60,160 +61,128 @@ enum Config {
     Naive,
     Legacy,
     FragMerge,
-    ShardedFragMerge,
     Flat,
-    ShardedFlat,
-    AdaptiveFlat,
 }
 
 impl Config {
-    const ALL: [Config; 7] = [
-        Config::Naive,
-        Config::Legacy,
-        Config::FragMerge,
-        Config::ShardedFragMerge,
-        Config::Flat,
-        Config::ShardedFlat,
-        Config::AdaptiveFlat,
-    ];
+    const ALL: [Config; 4] = [Config::Naive, Config::Legacy, Config::FragMerge, Config::Flat];
 
     fn name(self) -> &'static str {
         match self {
             Config::Naive => "naive",
             Config::Legacy => "legacy",
             Config::FragMerge => "fragmerge",
-            Config::ShardedFragMerge => "sharded-fragmerge",
             Config::Flat => "flat",
-            Config::ShardedFlat => "sharded-flat",
-            Config::AdaptiveFlat => "adaptive-flat",
         }
     }
 
-    fn store(self, domain: Option<Interval>) -> Box<dyn AccessStore + Send> {
+    fn store(self) -> Box<dyn AccessStore + Send> {
         match self {
             Config::Naive => Box::new(NaiveStore::new()),
             Config::Legacy => Box::new(LegacyStore::new()),
             Config::FragMerge => Box::new(FragMergeStore::new()),
-            Config::ShardedFragMerge => match domain {
-                Some(d) => Box::new(ShardedStore::with_domain(SHARDS, d, FragMergeStore::new)),
-                None => Box::new(ShardedStore::new(SHARDS, FragMergeStore::new)),
-            },
-            Config::Flat => Box::new(FlatStore::new()),
-            Config::ShardedFlat => match domain {
-                Some(d) => Box::new(ShardedStore::with_domain(SHARDS, d, FlatStore::new)),
-                None => Box::new(ShardedStore::new(SHARDS, FlatStore::new)),
-            },
-            Config::AdaptiveFlat => Box::new(AdaptiveStore::with_cfg(AdaptiveCfg::default())),
+            Config::Flat => FlatStore::boxed(true, None),
         }
     }
 }
 
-/// The window domain a live analyzer would shard over: the hull of the
-/// trace's `WinAllocate` contributions.
-fn trace_domain(trace: &Trace) -> Option<Interval> {
-    let mut dom: Option<Interval> = None;
-    for stream in &trace.streams {
-        for ev in stream {
-            if let TraceEvent::WinAllocate { base, len, .. } = *ev {
-                let hi = len.checked_sub(1).and_then(|d| base.checked_add(d))?;
-                let w = Interval::new(base, hi);
-                dom = Some(match dom {
-                    Some(d) => d.hull(&w),
-                    None => w,
-                });
-            }
-        }
-    }
-    dom
+fn replay_with(trace: &Trace, cfg: Config) -> ReplayOutcome {
+    replay_trace(trace, Box::new(StoreTarget::new(move || cfg.store())))
 }
 
-fn replay_with(trace: &Trace, cfg: Config, domain: Option<Interval>) -> ReplayOutcome {
-    replay_trace(trace, Box::new(StoreTarget::new(move || cfg.store(domain))))
-}
-
-/// Synthetic high-churn workload: `regions` interleaved ascending scans
-/// (region stride 1 MiB), width-2 intervals separated by a 1-byte gap —
-/// never adjacent, so nothing merges and every in-order access lands
-/// strictly above its shard's bounding hull (the cheap-reject fast
-/// path). A single rank inside one `lock_all` epoch; per-region source
-/// lines keep provenance distinct.
-fn synthetic_churn(regions: u64, per_region: u64) -> Trace {
-    let mut ev = Vec::new();
+/// A single-rank `lock_all` epoch over one window of `len` bytes,
+/// holding the given tracked local reads (interval, source line).
+fn single_epoch_trace(app: &str, len: u64, reads: impl IntoIterator<Item = (Interval, u32)>) -> Trace {
     let win = rma_sim::WinId(0);
-    let len = regions << 20;
-    ev.push(TraceEvent::WinAllocate { win, base: 0, len });
-    ev.push(TraceEvent::LockAll { win });
-    for i in 0..per_region {
-        for r in 0..regions {
-            let lo = (r << 20) + i * 3;
-            ev.push(TraceEvent::Local {
-                interval: Interval::new(lo, lo + 1),
-                write: false,
-                on_stack: false,
-                tracked: true,
-                loc: SrcLoc::synthetic("churn.c", r as u32 + 1),
-            });
-        }
-    }
+    let mut ev = vec![TraceEvent::WinAllocate { win, base: 0, len }, TraceEvent::LockAll { win }];
+    ev.extend(reads.into_iter().map(|(interval, line)| TraceEvent::Local {
+        interval,
+        write: false,
+        on_stack: false,
+        tracked: true,
+        loc: SrcLoc::synthetic("synthetic.c", line),
+    }));
     ev.push(TraceEvent::UnlockAll { win });
     ev.push(TraceEvent::Finish);
     Trace {
-        header: TraceHeader { version: 1, nranks: 1, seed: 0, app: "churn".into() },
+        header: TraceHeader { version: 1, nranks: 1, seed: 0, app: app.into() },
         streams: vec![ev],
     }
+}
+
+/// A width-2 access at `lo`: with the stride-3 layouts below, neighbours
+/// are one byte apart — never adjacent, so nothing merges.
+fn pair(lo: u64, line: u32) -> (Interval, u32) {
+    (Interval::new(lo, lo + 1), line)
+}
+
+/// Synthetic interleaved workload: `regions` ascending scans (region
+/// stride 1 MiB) advancing in lockstep, one access per region per step.
+/// Only the top region appends at the tail; every other access inserts
+/// in front of the regions above it. Per-region source lines keep
+/// provenance distinct.
+fn synthetic_churn(regions: u64, per_region: u64) -> Trace {
+    let reads = (0..per_region)
+        .flat_map(|i| (0..regions).map(move |r| pair((r << 20) + i * 3, r as u32 + 1)));
+    single_epoch_trace("churn", regions << 20, reads)
+}
+
+/// Dense accesses per sparse one in [`synthetic_two_frontier`]. Counted
+/// in a 2-rank miniVite-sim recording (nv = 128k): each rank's store took
+/// 128000 local loads, 95-97 remote gets spread over the same range, and
+/// 95-97 origin-buffer writes of its own gets, all ascending; the writes
+/// lie above the loaded range and the first lands before the first load.
+const SPARSE_EVERY: u64 = 1333;
+
+/// Synthetic two-frontier workload, the miniVite store shape: a dense
+/// ascending stream low in the window and a sparse ascending stream
+/// above it, one access per [`SPARSE_EVERY`] dense ones, starting first.
+/// Every dense access inserts in front of the sparse entries instead of
+/// appending.
+fn synthetic_two_frontier(accesses: u64) -> Trace {
+    let reads = (0..accesses).map(|i| {
+        if i % (SPARSE_EVERY + 1) == 0 {
+            pair((1 << 20) + i / (SPARSE_EVERY + 1) * 3, 2)
+        } else {
+            pair(i * 3, 1)
+        }
+    });
+    single_epoch_trace("two-frontier", 2 << 20, reads)
 }
 
 /// Synthetic hotspot workload: overlapping accesses cycling through a
-/// small dense region — the merge-friendly extreme, where sharding has
-/// nothing to skip and must not cost anything either.
+/// small dense region — the merge-friendly extreme.
 fn synthetic_hotspot(accesses: u64) -> Trace {
-    let mut ev = Vec::new();
-    let win = rma_sim::WinId(0);
-    ev.push(TraceEvent::WinAllocate { win, base: 0, len: 256 });
-    ev.push(TraceEvent::LockAll { win });
-    for i in 0..accesses {
+    let reads = (0..accesses).map(|i| {
         let lo = (i % 64) * 2;
-        ev.push(TraceEvent::Local {
-            interval: Interval::new(lo, lo + 3),
-            write: false,
-            on_stack: false,
-            tracked: true,
-            loc: SrcLoc::synthetic("hotspot.c", 1),
-        });
-    }
-    ev.push(TraceEvent::UnlockAll { win });
-    ev.push(TraceEvent::Finish);
-    Trace {
-        header: TraceHeader { version: 1, nranks: 1, seed: 0, app: "hotspot".into() },
-        streams: vec![ev],
-    }
+        (Interval::new(lo, lo + 3), 1)
+    });
+    single_epoch_trace("hotspot", 256, reads)
 }
 
 /// One live `Messages`-pipeline run of the churn pattern: rank 0 issues
-/// `ops` width-2 puts, ascending within `SHARDS` interleaved 1 MiB
-/// regions of rank 1's window. Origin-side records, notification
-/// batching, the receiver thread and the epoch drain are all on the
-/// measured path. Returns the analyzer for stats inspection.
-fn live_churn_run(engine: Engine, shards: usize, batch_size: usize, ops: u64) -> Arc<RmaAnalyzer> {
+/// `ops` width-2 puts, ascending within [`CHURN_REGIONS`] interleaved
+/// 1 MiB regions of rank 1's window, into the production engine.
+/// Origin-side records, notification batching, the receiver thread and
+/// the epoch drain are all on the measured path. Returns the analyzer
+/// for stats inspection.
+fn live_churn_run(batch_size: usize, ops: u64) -> Arc<RmaAnalyzer> {
     let cfg = AnalyzerCfg {
         algorithm: Algorithm::FragMerge,
         on_race: OnRace::Collect,
         delivery: Delivery::Messages,
         node_budget: None,
         max_respawns: 3,
-        shards,
         batch_size,
-        engine,
     };
     let mon = Arc::new(RmaAnalyzer::new(cfg));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone() as Arc<dyn Monitor>, move |ctx| {
-        let win = ctx.win_allocate((SHARDS as u64) << 20);
+        let win = ctx.win_allocate(CHURN_REGIONS << 20);
         let buf = ctx.alloc(8);
         ctx.win_lock_all(win);
         if ctx.rank() == RankId(0) {
             for i in 0..ops {
-                let r = i % SHARDS as u64;
-                let off = (r << 20) + (i / SHARDS as u64) * 3;
+                let off = ((i % CHURN_REGIONS) << 20) + (i / CHURN_REGIONS) * 3;
                 ctx.put(&buf, 0, 2, RankId(1), off, win);
             }
         }
@@ -263,7 +232,6 @@ fn checked_in_corpus() -> Vec<(String, Trace)> {
 /// `Config::ALL` order.
 fn bench_interleaved(
     trace: &Trace,
-    domain: Option<Interval>,
     samples: usize,
     mut report: impl FnMut(Config, (f64, f64)),
 ) -> Vec<(f64, f64)> {
@@ -278,7 +246,7 @@ fn bench_interleaved(
             loop {
                 let t0 = Instant::now();
                 for _ in 0..iters {
-                    black_box(replay_with(trace, cfg, domain).events);
+                    black_box(replay_with(trace, cfg).events);
                 }
                 let elapsed = t0.elapsed();
                 if elapsed >= TARGET_SAMPLE || iters >= 1 << 24 {
@@ -299,7 +267,7 @@ fn bench_interleaved(
             let n = iters[c];
             let t0 = Instant::now();
             for _ in 0..n {
-                black_box(replay_with(trace, cfg, domain).events);
+                black_box(replay_with(trace, cfg).events);
             }
             samples_ns[c].push(t0.elapsed().as_nanos() as f64 / n as f64);
         }
@@ -340,17 +308,12 @@ struct Row {
     events_per_sec: f64,
 }
 
-fn report_json(smoke: bool, rows: &[Row], speedup: f64, adaptive_speedup: f64) -> String {
+fn report_json(smoke: bool, rows: &[Row], flat_speedup: f64, batch_speedup: f64) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!(
-        "  \"sharded_speedup_churn\": {speedup:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_speedup_churn\": {adaptive_speedup:.3},\n"
-    ));
+    out.push_str(&format!("  \"flat_speedup_interleaved\": {flat_speedup:.3},\n"));
+    out.push_str(&format!("  \"batch_speedup_churn\": {batch_speedup:.3},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -381,9 +344,8 @@ fn check_report(text: &str) -> Result<(), String> {
     for key in [
         "\"bench\"",
         "\"smoke\"",
-        "\"shards\"",
-        "\"sharded_speedup_churn\"",
-        "\"adaptive_speedup_churn\"",
+        "\"flat_speedup_interleaved\"",
+        "\"batch_speedup_churn\"",
         "\"rows\"",
     ] {
         if !text.contains(key) {
@@ -429,8 +391,8 @@ fn check_report(text: &str) -> Result<(), String> {
         "\"median_ns\":",
         "\"best_ns\":",
         "\"events_per_sec\":",
-        "\"sharded_speedup_churn\":",
-        "\"adaptive_speedup_churn\":",
+        "\"flat_speedup_interleaved\":",
+        "\"batch_speedup_churn\":",
     ] {
         let mut from = 0;
         while let Some(pos) = text[from..].find(key) {
@@ -461,11 +423,11 @@ fn row_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
-/// The bench-smoke regression guard: on every workload row of `text`,
-/// the `adaptive-flat` configuration must reach at least `tolerance` ×
-/// the `fragmerge` (seed configuration) events/sec, and must report the
-/// identical race count — losing anywhere, or diverging on a verdict,
-/// is the regression this PR exists to prevent.
+/// The bench regression guard: on every workload with a `fragmerge` row,
+/// the production engine (`flat`) must reach at least `tolerance` × the
+/// tree's events/sec, and must report the identical race count — losing
+/// anywhere, or diverging on a verdict, is the regression it exists to
+/// prevent.
 fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
     // (workload, config) -> (events_per_sec, races)
     let mut measured: Vec<(String, String, f64, u64)> = Vec::new();
@@ -500,25 +462,25 @@ fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
     }
     let mut lines = Vec::new();
     for w in &workloads {
-        let (_, _, seed_eps, seed_races) =
+        let (_, _, tree_eps, tree_races) =
             find(w, "fragmerge").ok_or_else(|| format!("{w}: missing fragmerge row"))?;
-        let (_, _, ad_eps, ad_races) =
-            find(w, "adaptive-flat").ok_or_else(|| format!("{w}: missing adaptive-flat row"))?;
-        if ad_races != seed_races {
+        let (_, _, flat_eps, flat_races) =
+            find(w, "flat").ok_or_else(|| format!("{w}: missing flat row"))?;
+        if flat_races != tree_races {
             return Err(format!(
-                "{w}: adaptive-flat races {ad_races} != fragmerge races {seed_races} — \
+                "{w}: flat races {flat_races} != fragmerge races {tree_races} — \
                  verdict divergence"
             ));
         }
-        let ratio = ad_eps / seed_eps;
-        // NaN (from a zero/garbage seed rate) must fail, not pass.
+        let ratio = flat_eps / tree_eps;
+        // NaN (from a zero/garbage tree rate) must fail, not pass.
         if ratio.is_nan() || ratio < tolerance {
             return Err(format!(
-                "{w}: adaptive-flat is {ratio:.3}x fragmerge ({ad_eps:.0} vs {seed_eps:.0} \
+                "{w}: flat is {ratio:.3}x fragmerge ({flat_eps:.0} vs {tree_eps:.0} \
                  events/sec), below tolerance {tolerance}"
             ));
         }
-        lines.push(format!("{w}: adaptive-flat/fragmerge = {ratio:.2}x"));
+        lines.push(format!("{w}: flat/fragmerge = {ratio:.2}x"));
     }
     Ok(lines)
 }
@@ -582,14 +544,16 @@ fn main() -> ExitCode {
     }
 
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_hotpath.json".to_string());
-    // One churn region per shard: every in-order access lands strictly
-    // above its shard's hull, so the sharded configuration's fast-path
-    // hit rate is ~1 and the plain store pays the full walk per access.
-    let (regions, per_region, hotspot_n) =
-        if smoke { (SHARDS as u64, 128, 512) } else { (SHARDS as u64, 16384, 8192) };
-
+    // Accesses per synthetic workload: all but the hotspot's stay
+    // unmerged, in one store.
+    let (n, hotspot_n) = if smoke { (512, 512) } else { (65_536, 8192) };
     let mut workloads: Vec<(String, Trace)> = vec![
-        ("synthetic/churn".to_string(), synthetic_churn(regions, per_region)),
+        ("synthetic/churn".to_string(), synthetic_churn(CHURN_REGIONS, n / CHURN_REGIONS)),
+        (
+            "synthetic/interleaved".to_string(),
+            synthetic_churn(INTERLEAVED_REGIONS, n / INTERLEAVED_REGIONS),
+        ),
+        ("synthetic/two-frontier".to_string(), synthetic_two_frontier(n)),
         ("synthetic/hotspot".to_string(), synthetic_hotspot(hotspot_n)),
     ];
     workloads.extend(checked_in_corpus());
@@ -598,13 +562,12 @@ fn main() -> ExitCode {
     let mut rows: Vec<Row> = Vec::new();
     for (name, trace) in &workloads {
         let events = trace.event_count();
-        let domain = trace_domain(trace);
         // Deterministic pass per config first: stats and verdict are a
         // pure function of (trace, config), measured outside the timer.
         let outcomes: Vec<_> = Config::ALL
             .iter()
             .map(|&cfg| {
-                let out = replay_with(trace, cfg, domain);
+                let out = replay_with(trace, cfg);
                 assert!(out.complete, "{name}: replay incomplete under {}", cfg.name());
                 out
             })
@@ -618,7 +581,7 @@ fn main() -> ExitCode {
         // synthetic workloads.
         let timings: Vec<(f64, f64)> = if name.starts_with("corpus/") {
             let samples = if smoke { 3 } else { 61 };
-            bench_interleaved(trace, domain, samples, |cfg, t| {
+            bench_interleaved(trace, samples, |cfg, t| {
                 eprintln!("bench_hotpath/{name}/{}: {:.1} ns (interleaved)", cfg.name(), t.1);
             })
         } else {
@@ -627,7 +590,7 @@ fn main() -> ExitCode {
                 .iter()
                 .map(|&cfg| {
                     let id = format!("{name}/{}", cfg.name());
-                    group.bench(&id, || black_box(replay_with(trace, cfg, domain).events));
+                    group.bench(&id, || black_box(replay_with(trace, cfg).events));
                     let res = group.results().last().expect("just benched");
                     (res.median_ns, best_sample(res))
                 })
@@ -654,27 +617,21 @@ fn main() -> ExitCode {
             });
         }
     }
-    // Live `Messages`-pipeline comparison: plain fragmerge (tree,
-    // unbatched, unsharded — the seed configuration) against the PR 5
-    // sharded tree hot path and the adaptive flat hot path, both with
-    // batch_size 64. One bench iteration is one complete two-rank world
-    // run.
+    // Live `Messages`-pipeline rows: the production engine unbatched and
+    // with batch_size 64. One bench iteration is one complete two-rank
+    // world run.
     let live_ops: u64 = if smoke { 2_000 } else { 100_000 };
     group.sample_size(if smoke { 3 } else { 7 });
-    for (cname, engine, shards, batch) in [
-        ("fragmerge", Engine::Tree, 1usize, 1usize),
-        ("sharded-fragmerge", Engine::Tree, SHARDS, 64),
-        ("adaptive-flat", Engine::Adaptive, 1, 64),
-    ] {
+    for (cname, batch) in [("flat", 1usize), ("flat-batch64", 64)] {
         // Deterministic pass for the stats columns, outside the timer.
-        let mon = live_churn_run(engine, shards, batch, live_ops);
+        let mon = live_churn_run(batch, live_ops);
         let stats: Vec<_> = mon.window_stats().into_iter().flatten().collect();
         let recorded: u64 = stats.iter().map(|s| s.recorded as u64).sum();
         let fast: u64 = stats.iter().map(|s| s.fast_hits as u64).sum();
         let fast_hit_rate = if recorded == 0 { 0.0 } else { fast as f64 / recorded as f64 };
         let peak_nodes = mon.total_peak_nodes();
         group.bench(format!("live/churn/{cname}"), || {
-            black_box(live_churn_run(engine, shards, batch, live_ops).races().len())
+            black_box(live_churn_run(batch, live_ops).races().len())
         });
         let res = group.results().last().expect("just benched");
         let (median_ns, best_ns) = (res.median_ns, best_sample(res));
@@ -698,15 +655,12 @@ fn main() -> ExitCode {
             .map(|r| r.events_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let replay_speedup =
-        eps("synthetic/churn", "adaptive-flat") / eps("synthetic/churn", "fragmerge");
-    let speedup = eps("live/churn", "sharded-fragmerge") / eps("live/churn", "fragmerge");
-    let adaptive_speedup = eps("live/churn", "adaptive-flat") / eps("live/churn", "fragmerge");
-    println!("\nadaptive-flat vs fragmerge, offline replay of synthetic/churn: {replay_speedup:.2}x");
-    println!("sharded-fragmerge (shards={SHARDS}, batch=64) vs fragmerge, live pipeline: {speedup:.2}x");
-    println!("adaptive-flat (batch=64) vs fragmerge, live pipeline: {adaptive_speedup:.2}x");
+    let flat_speedup = eps("synthetic/interleaved", "flat") / eps("synthetic/interleaved", "fragmerge");
+    let batch_speedup = eps("live/churn", "flat-batch64") / eps("live/churn", "flat");
+    println!("\nflat vs fragmerge, offline replay of synthetic/interleaved: {flat_speedup:.2}x");
+    println!("flat-batch64 vs flat, live pipeline: {batch_speedup:.2}x");
 
-    let json = report_json(smoke, &rows, speedup, adaptive_speedup);
+    let json = report_json(smoke, &rows, flat_speedup, batch_speedup);
     if let Err(e) = check_report(&json) {
         eprintln!("bench_hotpath: generated report fails its own schema check: {e}");
         return ExitCode::FAILURE;

@@ -52,9 +52,7 @@ pub struct FragMergeStore {
     /// [`AccessStore::record`] skips the conflict walk and the widened
     /// overlap query and inserts the node directly
     /// ([`StoreStats::fast_hits`] counts the skips). Epoch boundaries
-    /// reset it to `None` in [`AccessStore::clear`]; the sharded wrapper
-    /// keeps the analogous per-shard hulls fresh with a generation
-    /// counter instead, because it has many to invalidate at once.
+    /// reset it to `None` in [`AccessStore::clear`].
     hull: Option<Interval>,
     /// Scratch buffers reused across insertions to keep the hot path
     /// allocation-free once warmed up.
@@ -431,22 +429,6 @@ impl AccessStore for FragMergeStore {
         };
         self.stats.len = self.tree.len();
         self.stats.peak_len = self.stats.peak_len.max(self.stats.len);
-    }
-}
-
-impl crate::sharded::ShardableStore for FragMergeStore {
-    fn check_access(&self, acc: &MemAccess) -> Option<RaceReport> {
-        self.check(acc)
-    }
-
-    fn record_unchecked(&mut self, acc: MemAccess) {
-        self.stats.recorded += 1;
-        self.apply(acc);
-    }
-
-    fn record_isolated(&mut self, acc: MemAccess) {
-        self.stats.recorded += 1;
-        self.insert_isolated(acc);
     }
 }
 

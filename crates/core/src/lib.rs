@@ -23,14 +23,12 @@
 //! A deliberately simple [`NaiveStore`] (a flat vector with an `O(n)`
 //! conflict scan) serves as a semantic reference for tests.
 //!
-//! Two cache-friendly *engines* implement the same algorithm as
-//! [`FragMergeStore`] with different data layouts: [`FlatStore`] keeps
-//! the disjoint intervals in one contiguous sorted vec (galloping
-//! lower-bound search, in-place splicing), and [`AdaptiveStore`] starts
-//! flat-unsharded and promotes to a range-sharded flat layout
-//! ([`ShardedStore`]`<`[`FlatStore`]`>`) once the trace grows or churns
-//! past a threshold. All engines are differentially verified against
-//! [`FragMergeStore`].
+//! [`FlatStore`] is the production engine: the same algorithm as
+//! [`FragMergeStore`] over sorted chunks of at most 128 accesses behind a
+//! fence index (galloping lower-bound search, in-place splicing), with
+//! contents, verdicts and statistics identical to the tree's — verified
+//! differentially after every operation. The tree stays as the
+//! paper-faithful reference.
 //!
 //! The crate is self-contained: it knows nothing about how accesses are
 //! produced. The companion crates `rma-sim` (an MPI-RMA runtime simulator)
@@ -57,7 +55,6 @@
 #![deny(unsafe_code)]
 
 pub mod access;
-pub mod adaptive;
 pub mod avl;
 pub mod conflict;
 pub mod flat;
@@ -67,12 +64,10 @@ pub mod interval;
 pub mod legacy;
 pub mod naive;
 pub mod report;
-pub mod sharded;
 pub mod store;
 pub mod stride;
 
 pub use access::{AccessKind, MemAccess, RankId, SrcLoc};
-pub use adaptive::{AdaptiveCfg, AdaptiveStore};
 pub use conflict::{combine, conflicts, legacy_conflicts, precedence};
 pub use flat::FlatStore;
 pub use fragmerge::FragMergeStore;
@@ -81,6 +76,5 @@ pub use interval::{Addr, Interval};
 pub use legacy::LegacyStore;
 pub use naive::{NaiveStore, ShadowRef};
 pub use report::RaceReport;
-pub use sharded::{ShardableStore, ShardedStore};
 pub use store::{AccessStore, StoreStats};
 pub use stride::{StrideMergeStore, StridedRun};

@@ -36,18 +36,11 @@ pub struct StoreStats {
     /// Sum over epochs of the node count at epoch end — the per-run
     /// "number of nodes in the BST" metric of the paper's Section 5.3.
     pub cum_epoch_end_len: usize,
-    /// Accesses (or access pieces) admitted through the cheap-reject fast
-    /// path of a sharded store: the cached bounding interval proved them
-    /// disjoint from everything stored, so the AVL walk was skipped and
-    /// the access inserted directly (0 for unsharded stores).
+    /// Accesses admitted through the cheap-reject fast path: the cached
+    /// bounding interval proved them disjoint from (and not touching)
+    /// everything stored, so the overlap search was skipped and the
+    /// access inserted directly.
     pub fast_hits: usize,
-    /// Number of range shards behind these statistics (0 for unsharded
-    /// stores, N for a `ShardedStore` with N shards).
-    pub shards: usize,
-    /// Largest node count any single shard ever held (0 for unsharded
-    /// stores) — the shard-occupancy metric: compare against `peak_len`
-    /// to see how evenly the address space partitioned.
-    pub peak_shard_len: usize,
 }
 
 impl StoreStats {
@@ -75,8 +68,6 @@ impl StoreStats {
         self.epochs += other.epochs;
         self.cum_epoch_end_len += other.cum_epoch_end_len;
         self.fast_hits += other.fast_hits;
-        self.shards = self.shards.max(other.shards);
-        self.peak_shard_len = self.peak_shard_len.max(other.peak_shard_len);
     }
 
     /// Dynamic accesses this store has processed (every `record` call,

@@ -28,9 +28,8 @@ use crate::reduce::KeyedReduce;
 use rma_substrate::channel::{unbounded, Receiver, Sender};
 use rma_substrate::sync::{Condvar, Mutex, RwLock};
 use rma_core::{
-    AccessStore, AdaptiveCfg, AdaptiveStore, FlatStore, FragMergeStore, Interval, LegacyStore,
-    MemAccess, MemGauge, MeteredStore, NaiveStore, RaceReport, ShardedStore, StoreRebuild,
-    StoreStats,
+    AccessStore, FlatStore, FragMergeStore, Interval, LegacyStore, MemAccess, MemGauge,
+    MeteredStore, NaiveStore, RaceReport, StoreRebuild, StoreStats,
 };
 use rma_sim::{AbortView, HookResult, LocalEvent, Monitor, RankId, RmaEvent, WinId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -126,49 +125,6 @@ pub enum Delivery {
     Messages,
 }
 
-/// Which data layout backs the fragmentation-based stores. Orthogonal to
-/// [`Algorithm`]: every engine runs the same insertion algorithm
-/// (Algorithm 1) with identical verdicts and contents — differentially
-/// verified in `rma-core`'s `sharded_prop` campaign — and differs only
-/// in memory layout and therefore speed. Algorithms other than
-/// `FragMerge`/`FragmentOnly` ignore the knob (they have one layout).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Engine {
-    /// AVL interval tree per store (the paper-faithful layout, and the
-    /// seed behaviour of earlier revisions).
-    Tree,
-    /// Flat sorted-vec layout ([`rma_core::FlatStore`]): contiguous,
-    /// cache-resident, galloping lower-bound search.
-    Flat,
-    /// Flat until the store grows or churns past a threshold, then
-    /// range-sharded flat ([`rma_core::AdaptiveStore`]) — small traces
-    /// never pay routing overhead, large churny ones still scale. The
-    /// default.
-    #[default]
-    Adaptive,
-}
-
-impl Engine {
-    /// Human-readable name used by the benchmark harnesses.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Tree => "tree",
-            Engine::Flat => "flat",
-            Engine::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses the CLI spelling (`tree` / `flat` / `adaptive`).
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "tree" => Some(Engine::Tree),
-            "flat" => Some(Engine::Flat),
-            "adaptive" => Some(Engine::Adaptive),
-            _ => None,
-        }
-    }
-}
-
 /// Analyzer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct AnalyzerCfg {
@@ -189,12 +145,6 @@ pub struct AnalyzerCfg {
     /// becomes a structured world abort, never a hang. `0` disables
     /// recovery. Ignored under [`Delivery::Direct`] (no helper threads).
     pub max_respawns: u32,
-    /// Number of address-range shards each per-(rank, window) store is
-    /// partitioned into ([`rma_core::ShardedStore`]). Only the
-    /// fragmentation-based algorithms shard (they satisfy
-    /// [`rma_core::ShardableStore`]); the rest ignore the knob. `1` (the
-    /// default) keeps today's single-tree stores.
-    pub shards: usize,
     /// `Messages`-mode batching: each origin rank coalesces up to this
     /// many per-target notifications into one [`Note::Batch`], flushed at
     /// synchronization points (`unlock_all`, `fence`, `barrier`, world
@@ -202,11 +152,6 @@ pub struct AnalyzerCfg {
     /// default) sends each notification immediately — today's behaviour.
     /// Ignored under [`Delivery::Direct`].
     pub batch_size: usize,
-    /// Data layout behind the fragmentation-based stores (see
-    /// [`Engine`]). Under [`Engine::Adaptive`] the `shards` knob becomes
-    /// the post-promotion shard count (when > 1); the store starts
-    /// unsharded regardless.
-    pub engine: Engine,
 }
 
 impl Default for AnalyzerCfg {
@@ -217,9 +162,7 @@ impl Default for AnalyzerCfg {
             delivery: Delivery::Direct,
             node_budget: None,
             max_respawns: 3,
-            shards: 1,
             batch_size: 1,
-            engine: Engine::default(),
         }
     }
 }
@@ -236,55 +179,17 @@ impl AnalyzerCfg {
         AnalyzerCfg { node_budget: Some(cap), ..self }
     }
 
-    /// Builds one per-(rank, window) store honouring the `engine` and
-    /// `shards` knobs. `domain` is the window's address range when known
-    /// (from `MPI_Win_allocate`), used to cut the shard boundaries;
-    /// without it the full `u64` space is partitioned (out-of-range
-    /// addresses clamp to the edge shards either way).
-    pub fn build_store(&self, domain: Option<Interval>) -> Box<dyn AccessStore + Send> {
-        if !matches!(self.algorithm, Algorithm::FragMerge | Algorithm::FragmentOnly) {
-            return self.algorithm.new_store_budgeted(self.node_budget);
-        }
-        let merging = self.algorithm == Algorithm::FragMerge;
-        let budget = self.node_budget;
-        match self.engine {
-            Engine::Adaptive => {
-                let defaults = AdaptiveCfg::default();
-                Box::new(AdaptiveStore::with_cfg(AdaptiveCfg {
-                    merging,
-                    budget,
-                    shards: if self.shards > 1 { self.shards } else { defaults.shards },
-                    ..defaults
-                }))
-            }
-            Engine::Tree if self.shards <= 1 => self.algorithm.new_store_budgeted(budget),
-            Engine::Tree => {
-                let factory = move || match (merging, budget) {
-                    (true, None) => FragMergeStore::new(),
-                    (true, Some(cap)) => FragMergeStore::with_budget(cap),
-                    (false, None) => FragMergeStore::without_merging(),
-                    (false, Some(cap)) => FragMergeStore::without_merging_budgeted(cap),
-                };
-                match domain {
-                    Some(d) => Box::new(ShardedStore::with_domain(self.shards, d, factory)),
-                    None => Box::new(ShardedStore::new(self.shards, factory)),
-                }
-            }
-            Engine::Flat => {
-                let flat = move || match (merging, budget) {
-                    (true, None) => FlatStore::new(),
-                    (true, Some(cap)) => FlatStore::with_budget(cap),
-                    (false, None) => FlatStore::without_merging(),
-                    (false, Some(cap)) => FlatStore::without_merging_budgeted(cap),
-                };
-                if self.shards <= 1 {
-                    return Box::new(flat());
-                }
-                match domain {
-                    Some(d) => Box::new(ShardedStore::with_domain(self.shards, d, flat)),
-                    None => Box::new(ShardedStore::new(self.shards, flat)),
-                }
-            }
+    /// Builds one per-(rank, window) store: the chunked
+    /// [`rma_core::FlatStore`] for the fragmentation-based algorithms —
+    /// the production engine, identical in contents and verdicts to the
+    /// paper-faithful [`rma_core::FragMergeStore`] — and
+    /// [`Algorithm::new_store_budgeted`] for the rest. `_domain` (the
+    /// window's address range, when known) is unused.
+    pub fn build_store(&self, _domain: Option<Interval>) -> Box<dyn AccessStore + Send> {
+        match self.algorithm {
+            Algorithm::FragMerge => FlatStore::boxed(true, self.node_budget),
+            Algorithm::FragmentOnly => FlatStore::boxed(false, self.node_budget),
+            algorithm => algorithm.new_store_budgeted(self.node_budget),
         }
     }
 
@@ -293,14 +198,10 @@ impl AnalyzerCfg {
     /// [`rma_core::gauge`]) when the gauge crosses its budget and this
     /// store exceeds its fair share. Brownout replacements are built
     /// from this same configuration with `node_budget` set to the cap.
-    pub fn build_store_metered(
-        &self,
-        domain: Option<Interval>,
-        gauge: &MemGauge,
-    ) -> Box<dyn AccessStore + Send> {
+    pub fn build_store_metered(&self, gauge: &MemGauge) -> Box<dyn AccessStore + Send> {
         let cfg = *self;
-        let rebuild: StoreRebuild = Box::new(move |cap| cfg.budgeted(cap).build_store(domain));
-        Box::new(MeteredStore::new(self.build_store(domain), rebuild, gauge.clone()))
+        let rebuild: StoreRebuild = Box::new(move |cap| cfg.budgeted(cap).build_store(None));
+        Box::new(MeteredStore::new(self.build_store(None), rebuild, gauge.clone()))
     }
 }
 
@@ -323,10 +224,10 @@ struct WinDet {
 }
 
 impl WinDet {
-    fn new(nranks: u32, cfg: &AnalyzerCfg, domain: Option<Interval>) -> Self {
+    fn new(nranks: u32, cfg: &AnalyzerCfg) -> Self {
         let n = nranks as usize;
         WinDet {
-            stores: (0..n).map(|_| Mutex::new(cfg.build_store(domain))).collect(),
+            stores: (0..n).map(|_| Mutex::new(cfg.build_store(None))).collect(),
             epoch_open: (0..n).map(|_| AtomicBool::new(false)).collect(),
             epoch_seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
             sent: (0..n).map(|_| Mutex::new(vec![0; n])).collect(),
@@ -1045,20 +946,10 @@ impl Monitor for RmaAnalyzer {
         }
     }
 
-    fn on_win_allocate(&self, _rank: RankId, win: WinId, base: u64, len: u64) {
-        // The first caller's window placement cuts the shard boundaries
-        // (per-rank bases differ; the sharded store clamps outliers to
-        // its edge shards, so any rank's range is a sound choice).
-        let domain = len
-            .checked_sub(1)
-            .and_then(|d| base.checked_add(d))
-            .map(|hi| Interval::new(base, hi));
+    fn on_win_allocate(&self, _rank: RankId, win: WinId, _base: u64, _len: u64) {
         let mut wins = self.inner.wins.write();
         while wins.len() <= win.index() {
-            // Only the window being allocated gets the domain; windows
-            // backfilled to pad the vector partition the full space.
-            let dom = if wins.len() == win.index() { domain } else { None };
-            wins.push(Arc::new(WinDet::new(self.inner.nranks(), &self.inner.cfg, dom)));
+            wins.push(Arc::new(WinDet::new(self.inner.nranks(), &self.inner.cfg)));
         }
     }
 

@@ -20,4 +20,4 @@
 mod analyzer;
 mod reduce;
 
-pub use analyzer::{Algorithm, AnalyzerCfg, Delivery, Engine, OnRace, RmaAnalyzer};
+pub use analyzer::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};

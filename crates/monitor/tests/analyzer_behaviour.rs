@@ -137,9 +137,7 @@ fn messages_delivery_equivalent() {
             delivery: Delivery::Messages,
             node_budget: None,
             max_respawns: 3,
-            shards: 1,
             batch_size: 1,
-            engine: Default::default(),
         }));
         let out = World::run(WorldCfg::with_ranks(3), mon.clone(), |ctx| {
             let win = ctx.win_allocate(64);
@@ -165,9 +163,7 @@ fn collect_mode_does_not_abort() {
         delivery: Delivery::Direct,
         node_budget: None,
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
         let win = ctx.win_allocate(64);

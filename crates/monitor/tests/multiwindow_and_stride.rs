@@ -45,9 +45,7 @@ fn messages_delivery_multiwindow() {
         delivery: Delivery::Messages,
         node_budget: None,
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let out = World::run(WorldCfg::with_ranks(4), mon.clone(), |ctx| {
         let w1 = ctx.win_allocate(256);
@@ -87,9 +85,7 @@ fn stride_extension_in_runtime() {
         delivery: Delivery::Direct,
         node_budget: None,
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
         let win = ctx.win_allocate(16 * 512);

@@ -257,19 +257,19 @@ impl Worker {
         self.tx.send(msg).is_ok()
     }
 
-    /// Kills the worker abruptly (backlog abandoned) without joining —
-    /// models a spontaneous analysis-thread death that the runtime only
-    /// notices at the next quiescence wait.
-    pub fn kill_async(&self) {
+    /// Was this worker killed ([`Worker::kill`])? A killed worker is
+    /// dead even when it had nothing left to process.
+    pub fn killed(&self) -> bool {
+        self.die_now.load(Ordering::Acquire)
+    }
+
+    /// Kills the worker abruptly (backlog abandoned) and waits for the
+    /// thread to be gone.
+    pub fn kill(&mut self) {
         self.die_now.store(true, Ordering::Release);
         // Wake it if it is idle; the flag makes any received message
         // (including this one) lethal before processing.
         let _ = self.tx.send(Msg::Stop);
-    }
-
-    /// Kills the worker abruptly and waits for the thread to be gone.
-    pub fn kill(&mut self) {
-        self.kill_async();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -390,18 +390,23 @@ impl Supervisor {
 
     /// Quiescence wait with supervised recovery: on `WorkerDead` the
     /// supervisor restores the checkpoint, respawns and re-delivers,
-    /// then waits again — until drained, out of budget, or timed out.
+    /// then waits again — until drained, out of budget, or timed out. A
+    /// killed worker ([`Supervisor::sabotage`]) is recovered here even
+    /// when everything shipped was analyzed before the kill, so whether
+    /// a kill forces a respawn never depends on how far the worker got.
     pub fn quiesce(&self) -> Quiescence {
         loop {
             let target = self.sent();
-            match self.state.wait_processed(target) {
-                Quiescence::Drained => return Quiescence::Drained,
-                q @ Quiescence::WorkerDead { .. } => {
+            let q = self.state.wait_processed(target);
+            let killed = self.inner.lock().worker.killed();
+            match q {
+                Quiescence::Drained if !killed => return q,
+                Quiescence::Drained | Quiescence::WorkerDead { .. } => {
                     if !self.try_recover() {
                         return q;
                     }
                 }
-                q @ Quiescence::TimedOut { .. } => return q,
+                Quiescence::TimedOut { .. } => return q,
             }
         }
     }
@@ -447,12 +452,13 @@ impl Supervisor {
         }
     }
 
-    /// Kills the worker *without* recovery or joining — models the
-    /// spontaneous mid-run death the bounded quiescence wait exists for
-    /// (test sabotage). Recovery, if any, happens lazily at the next
-    /// quiescence wait.
+    /// Kills the worker *without* recovery — models the spontaneous
+    /// mid-run death the bounded quiescence wait exists for (test
+    /// sabotage). The worker is joined under the supervisor lock, so its
+    /// death is recorded (the dead flag set) before this returns; the
+    /// next quiescence wait then recovers it, budget permitting.
     pub fn sabotage(&self) {
-        self.inner.lock().worker.kill_async();
+        self.inner.lock().worker.kill();
     }
 
     pub fn shutdown(&self) {

@@ -2,7 +2,7 @@
 //! file-spool client.
 //!
 //! ```text
-//! rma-served serve    --spool DIR [--store ...] [--engine ...] [--shards N]
+//! rma-served serve    --spool DIR [--store ...] [--node-budget N]
 //!                     [--workers N] [--queue-bound N] [--max-respawns N]
 //!                     [--watchdog-ms N] [--ingest-delay-ms N]
 //!                     [--durability none|batch|strict] [--serial]
@@ -36,7 +36,7 @@
 //! The serve loop itself lives in [`rma_served::daemon`]; this binary
 //! is flag parsing around it.
 
-use rma_monitor::{AnalyzerCfg, Engine};
+use rma_monitor::AnalyzerCfg;
 use rma_served::daemon::{run_daemon, DaemonCfg, DaemonExit};
 use rma_served::{
     check_stats_json, render_stats_json, ChaosCfg, DrainOutcome, Durability, ServeCfg, Spool,
@@ -49,8 +49,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage:
-  rma-served serve    --spool DIR [--store naive|legacy|fragmerge|must]
-                      [--engine tree|flat|adaptive] [--shards N] [--node-budget N]
+  rma-served serve    --spool DIR [--store naive|legacy|fragmerge|must] [--node-budget N]
                       [--workers N] [--queue-bound N] [--max-respawns N]
                       [--watchdog-ms N] [--ingest-delay-ms N]
                       [--memory-budget NODES] [--stream-deadline MS]
@@ -122,15 +121,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let store = take_opt(&mut args, "--store")?.unwrap_or_else(|| "fragmerge".into());
     let detector = Detector::parse(&store)
         .ok_or_else(|| format!("unknown store {store:?} (naive|legacy|fragmerge|must)"))?;
-    let engine = match take_opt(&mut args, "--engine")? {
-        Some(e) => {
-            Engine::parse(&e).ok_or_else(|| format!("unknown engine {e:?} (tree|flat|adaptive)"))?
-        }
-        None => Engine::default(),
-    };
     let analyzer = AnalyzerCfg {
-        engine,
-        shards: take_num(&mut args, "--shards")?.unwrap_or(AnalyzerCfg::default().shards),
         node_budget: take_num(&mut args, "--node-budget")?,
         ..Default::default()
     };

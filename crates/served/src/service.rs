@@ -120,10 +120,10 @@ pub struct ChaosCfg {
 pub struct ServeCfg {
     /// Detector every stream is replayed through.
     pub detector: Detector,
-    /// Store-shape knobs (`engine` / `shards` / `node_budget`) for the
-    /// per-stream detector stores, via [`AnalyzerCfg::build_store`].
-    /// `algorithm` is overridden by `detector`; `delivery`/`batch_size`
-    /// are live-capture knobs with no effect on offline replay.
+    /// Store knobs (`node_budget`) for the per-stream detector stores,
+    /// via [`AnalyzerCfg::build_store`]. `algorithm` is overridden by
+    /// `detector`; `delivery`/`batch_size` are live-capture knobs with no
+    /// effect on offline replay.
     pub analyzer: AnalyzerCfg,
     /// Worker threads in the shared pool (min 1).
     pub workers: usize,
@@ -998,7 +998,7 @@ pub(crate) fn report_for_end(
             let gauge = gauge.clone();
             replay_trace(
                 &end.trace,
-                Box::new(StoreTarget::new(move || rcfg.build_store_metered(None, &gauge))),
+                Box::new(StoreTarget::new(move || rcfg.build_store_metered(&gauge))),
             )
         }
         (_, None) => {

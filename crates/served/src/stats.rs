@@ -60,10 +60,6 @@ pub struct TenantStats {
 pub struct ServedStats {
     /// Detector name.
     pub detector: &'static str,
-    /// Store engine name.
-    pub engine: &'static str,
-    /// Shard knob.
-    pub shards: usize,
     /// Worker pool size.
     pub workers: usize,
     /// Per-stream queue bound (the credit count).
@@ -97,8 +93,6 @@ impl ServedStats {
     ) -> ServedStats {
         ServedStats {
             detector: cfg.detector.name(),
-            engine: cfg.analyzer.engine.name(),
-            shards: cfg.analyzer.shards,
             workers: cfg.workers.max(1),
             queue_bound: cfg.queue_bound,
             tenant_quota: cfg.max_streams_per_tenant,
@@ -165,15 +159,13 @@ impl ServedStats {
             })
             .collect();
         format!(
-            "{{\"service\":\"rma-served\",\"detector\":\"{}\",\"engine\":\"{}\",\
-             \"shards\":{},\"workers\":{},\"queue_bound\":{},\"tenant_quota\":{},\
-             \"memory_budget\":{},\"stream_deadline\":{},\"quarantine_after\":{},\
+            "{{\"service\":\"rma-served\",\"detector\":\"{}\",\"workers\":{},\
+             \"queue_bound\":{},\"tenant_quota\":{},\"memory_budget\":{},\
+             \"stream_deadline\":{},\"quarantine_after\":{},\
              \"streams\":{},\"events\":{},\"races\":{},\"respawns\":{},\
              \"degraded_stores\":{},\"brownout\":{},\"shed\":{},\
              \"tiers\":{},\"recovery\":{},\"tenants\":[{}]}}",
             self.detector,
-            self.engine,
-            self.shards,
             self.workers,
             self.queue_bound,
             self.tenant_quota,
@@ -200,16 +192,14 @@ impl ServedStats {
         let secs = self.wall.as_secs_f64();
         let rate = if secs > 0.0 { self.events_total as f64 / secs } else { 0.0 };
         let mut out = format!(
-            "rma-served: {} stream(s), {} event(s), {} race(s) | detector={} engine={} \
-             shards={} workers={} queue_bound={}\n\
+            "rma-served: {} stream(s), {} event(s), {} race(s) | detector={} workers={} \
+             queue_bound={}\n\
              throughput: {rate:.0} events/sec over {secs:.2}s | peak queue depth {} | \
              blocked sends {} | respawns {} | degraded stores {}\n",
             tot.streams,
             tot.events,
             tot.races,
             self.detector,
-            self.engine,
-            self.shards,
             self.workers,
             self.queue_bound,
             tot.peak_queue_depth,
@@ -289,13 +279,12 @@ pub fn check_stats_json(json: &str) -> Result<(), String> {
     if line.lines().count() != 1 {
         return Err("stats JSON must be a single line".into());
     }
-    for key in ["service", "detector", "engine"] {
+    for key in ["service", "detector"] {
         if !line.contains(&format!("\"{key}\":\"")) {
             return Err(format!("missing string field {key:?}"));
         }
     }
     for key in [
-        "shards",
         "workers",
         "queue_bound",
         "tenant_quota",
@@ -393,12 +382,12 @@ pub fn render_stats_json(json: &str) -> Result<String, String> {
     let head = &line[..line.find("\"tenants\":[").unwrap_or(line.len())];
     let quota = num(head, "tenant_quota");
     let mut out = format!(
-        "rma-served: {} stream(s), {} event(s), {} race(s) | detector={} engine={}\n",
+        "rma-served: {} stream(s), {} event(s), {} race(s) | detector={} workers={}\n",
         num(head, "streams"),
         num(head, "events"),
         num(head, "races"),
         word(head, "detector"),
-        word(head, "engine"),
+        num(head, "workers"),
     );
     out.push_str(&format!(
         "overload: shed {} | brownouts {} | quarantined {} | timeouts {}",
@@ -465,8 +454,6 @@ mod tests {
         );
         ServedStats {
             detector: "fragmerge",
-            engine: "adaptive",
-            shards: 1,
             workers: 2,
             queue_bound: 64,
             tenant_quota: 0,

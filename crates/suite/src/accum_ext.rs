@@ -152,9 +152,7 @@ pub fn run_accum_case(partner: AccumPartner, tool: Tool) -> bool {
                 delivery: Delivery::Direct,
                 node_budget: None,
                 max_respawns: 3,
-                shards: 1,
                 batch_size: 1,
-                engine: Default::default(),
             }));
             let out =
                 World::run(cfg, mon.clone() as Arc<dyn Monitor>, |ctx| partner.body(ctx));

@@ -16,9 +16,7 @@ fn budgeted_cfg(cap: usize) -> AnalyzerCfg {
         delivery: Delivery::Direct,
         node_budget: Some(cap),
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }
 }
 

@@ -87,9 +87,7 @@ fn analyzer_messages_keeps_verdicts_under_receiver_kills() {
                 delivery: Delivery::Messages,
                 node_budget: None,
                 max_respawns: 3,
-                shards: 1,
                 batch_size: 1,
-                engine: Default::default(),
             }))
         };
         let baseline = mk();
@@ -153,9 +151,7 @@ fn analyzer_beyond_budget_aborts_structurally() {
         delivery: Delivery::Messages,
         node_budget: None,
         max_respawns: 0,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let cfg = WorldCfg {
         fault: Some(FaultPlan { rank: 1, at_event: 5, kind: FaultKind::KillWorker { times: 1 } }),

@@ -131,9 +131,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         delivery: Delivery::Direct,
         node_budget: None,
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let (writer, clean) = match (case.as_deref(), app.as_deref()) {
         (Some(name), None) => {

@@ -32,9 +32,7 @@ fn live_races(spec: &CaseSpec, detector: Detector) -> Vec<rma_core::RaceReport> 
                 delivery: Delivery::Direct,
                 node_budget: None,
                 max_respawns: 3,
-                shards: 1,
                 batch_size: 1,
-                engine: Default::default(),
             }));
             let out = run_case_with_monitor(spec, analyzer.clone() as Arc<dyn Monitor>);
             assert!(out.is_clean(), "{}: live run not clean", spec.name());

@@ -60,9 +60,7 @@ fn verdict(spec: ProgramSpec, delivery: Delivery) -> bool {
         delivery,
         node_budget: None,
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let out: RunOutcome<()> = World::run(WorldCfg::with_ranks(3), analyzer.clone(), |ctx| {
         run_program(spec, ctx)
@@ -133,9 +131,7 @@ fn verdict_algo(spec: ProgramSpec, algorithm: Algorithm) -> bool {
         delivery: Delivery::Direct,
         node_budget: None,
         max_respawns: 3,
-        shards: 1,
         batch_size: 1,
-        engine: Default::default(),
     }));
     let out: RunOutcome<()> = World::run(WorldCfg::with_ranks(3), analyzer.clone(), |ctx| {
         run_program(spec, ctx)
