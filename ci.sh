@@ -161,16 +161,28 @@ echo "==> differential campaign: the production engine and the config grid"
 timeout 300 cargo test -q --offline -p rma-core --test engine_prop
 timeout 600 cargo test -q --offline -p rma-suite --test grid_equivalence
 
-echo "==> flake gate: the MUST supervision suite, 20 runs"
-# Worker kills must force a respawn deterministically; a test that
-# passes only on some runs is a defect, so one failure in 20 fails CI.
-for RUN in $(seq 1 20); do
-    if ! timeout 300 cargo test -q --offline -p rma-must --test must_behaviour > /dev/null 2>&1; then
-        echo "ERROR: must_behaviour failed on run $RUN of 20" >&2
-        exit 1
-    fi
-done
-echo "    20 of 20 runs passed"
+echo "==> flake gate: supervision, analyzer locking, recovery and replay suites"
+# A test that passes only on some runs is a defect, so the first failure
+# fails CI; every run is bounded by `timeout`. The MUST supervision suite
+# (worker kills must force a respawn deterministically) and the
+# analyzer's epoch-close/wake suite run 20 times each, the kill-worker
+# recovery and served replay suites 10 times each.
+flake_gate() {
+    RUNS=$1
+    LIMIT=$2
+    shift 2
+    for RUN in $(seq 1 "$RUNS"); do
+        if ! timeout "$LIMIT" cargo test -q --offline "$@" > /dev/null 2>&1; then
+            echo "ERROR: $* failed on run $RUN of $RUNS" >&2
+            exit 1
+        fi
+    done
+    echo "    $*: $RUNS of $RUNS runs passed"
+}
+flake_gate 20 300 -p rma-must --test must_behaviour
+flake_gate 20 300 -p rma-monitor --test analyzer_behaviour
+flake_gate 10 600 -p rma-suite --test recovery
+flake_gate 10 600 -p rma-served --test service_replay
 
 echo "==> bench_hotpath smoke: runs, self-validates, baseline stays well-formed"
 # The smoke benchmark must complete quickly and emit a schema-valid

@@ -24,7 +24,9 @@
 //! `median_ns`/`best_ns`/`events_per_sec` (and the derived speedup
 //! ratios). `events_per_sec` derives from `best_ns`, the fastest
 //! sample: the replays are deterministic, so the cost floor is the
-//! measurement and scheduler noise is strictly one-sided.
+//! measurement and scheduler noise is strictly one-sided. Corpus rows
+//! also carry `paired_vs_fragmerge`: the median over sample rounds of
+//! the config's speed relative to the tree's in the same round.
 //!
 //! Flags:
 //!
@@ -36,8 +38,9 @@
 //!   non-zero on violation;
 //! * `--guard <path> [--tolerance <f>]` — regression guard: on every
 //!   workload with a `fragmerge` row, `flat` must reach at least
-//!   `tolerance` × the `fragmerge` events/sec — and report the identical
-//!   race count. `tolerance` defaults to `1.0` (for the frozen
+//!   `tolerance` × the `fragmerge` speed — its `paired_vs_fragmerge`
+//!   where the row has one, else the ratio of events/sec — and report
+//!   the identical race count. `tolerance` defaults to `1.0` (for the frozen
 //!   checked-in baseline); CI passes a slack factor for
 //!   freshly-measured smoke runs on noisy machines.
 
@@ -228,13 +231,15 @@ fn checked_in_corpus() -> Vec<(String, Trace)> {
 /// Paired measurement for the sub-microsecond corpus replays: every
 /// config's batch size is calibrated up front, then the sample rounds
 /// interleave round-robin over the configs so slow machine drift hits
-/// all of them equally. Returns `(median_ns, best_ns)` per config, in
-/// `Config::ALL` order.
+/// all of them equally. Returns `(median_ns, best_ns, paired)` per
+/// config, in `Config::ALL` order, where `paired` is the median over
+/// rounds of `fragmerge_ns / config_ns` within the round: drift and
+/// co-tenant bursts that span a round cancel in its ratio.
 fn bench_interleaved(
     trace: &Trace,
     samples: usize,
     mut report: impl FnMut(Config, (f64, f64)),
-) -> Vec<(f64, f64)> {
+) -> Vec<(f64, f64, f64)> {
     use std::time::{Duration, Instant};
     const TARGET_SAMPLE: Duration = Duration::from_millis(2);
     // Calibrate (and warm) each config: double the batch until one
@@ -272,14 +277,21 @@ fn bench_interleaved(
             samples_ns[c].push(t0.elapsed().as_nanos() as f64 / n as f64);
         }
     }
+    let median_and_best = |mut s: Vec<f64>| {
+        s.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+        (s[s.len() / 2], s[0])
+    };
+    let tree = Config::ALL.iter().position(|&c| c == Config::FragMerge).expect("tree config");
+    let tree_ns = samples_ns[tree].clone();
     Config::ALL
         .iter()
         .zip(samples_ns)
-        .map(|(&cfg, mut s)| {
-            s.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-            let out = (s[s.len() / 2], s[0]);
+        .map(|(&cfg, s)| {
+            let ratios = tree_ns.iter().zip(&s).map(|(t, c)| t / c).collect();
+            let (paired, _) = median_and_best(ratios);
+            let out = median_and_best(s);
             report(cfg, out);
-            out
+            (out.0, out.1, paired)
         })
         .collect()
 }
@@ -306,6 +318,8 @@ struct Row {
     /// best sample.
     best_ns: f64,
     events_per_sec: f64,
+    /// Corpus rows: median per-round speed relative to `fragmerge`.
+    paired_vs_fragmerge: Option<f64>,
 }
 
 fn report_json(smoke: bool, rows: &[Row], flat_speedup: f64, batch_speedup: f64) -> String {
@@ -316,10 +330,14 @@ fn report_json(smoke: bool, rows: &[Row], flat_speedup: f64, batch_speedup: f64)
     out.push_str(&format!("  \"batch_speedup_churn\": {batch_speedup:.3},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let paired = r
+            .paired_vs_fragmerge
+            .map(|p| format!(", \"paired_vs_fragmerge\": {p:.3}"))
+            .unwrap_or_default();
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"events\": {}, \
              \"peak_nodes\": {}, \"fast_hit_rate\": {:.4}, \"races\": {}, \
-             \"median_ns\": {:.1}, \"best_ns\": {:.1}, \"events_per_sec\": {:.0}}}{}\n",
+             \"median_ns\": {:.1}, \"best_ns\": {:.1}, \"events_per_sec\": {:.0}{}}}{}\n",
             r.workload,
             r.config,
             r.events,
@@ -329,6 +347,7 @@ fn report_json(smoke: bool, rows: &[Row], flat_speedup: f64, batch_speedup: f64)
             r.median_ns,
             r.best_ns,
             r.events_per_sec,
+            paired,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -391,6 +410,7 @@ fn check_report(text: &str) -> Result<(), String> {
         "\"median_ns\":",
         "\"best_ns\":",
         "\"events_per_sec\":",
+        "\"paired_vs_fragmerge\":",
         "\"flat_speedup_interleaved\":",
         "\"batch_speedup_churn\":",
     ] {
@@ -425,12 +445,13 @@ fn row_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 
 /// The bench regression guard: on every workload with a `fragmerge` row,
 /// the production engine (`flat`) must reach at least `tolerance` × the
-/// tree's events/sec, and must report the identical race count — losing
+/// tree's speed, and must report the identical race count — losing
 /// anywhere, or diverging on a verdict, is the regression it exists to
-/// prevent.
+/// prevent. Speed is the row's `paired_vs_fragmerge` where present (the
+/// corpus rows), else the ratio of events/sec.
 fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    // (workload, config) -> (events_per_sec, races)
-    let mut measured: Vec<(String, String, f64, u64)> = Vec::new();
+    // (workload, config, events_per_sec, races, paired_vs_fragmerge)
+    let mut measured: Vec<(String, String, f64, u64, Option<f64>)> = Vec::new();
     for line in text.lines() {
         let line = line.trim();
         if !line.starts_with("{\"workload\"") {
@@ -446,15 +467,19 @@ fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
             .ok_or("row without races")?
             .parse()
             .map_err(|e| format!("{workload}/{config}: bad races: {e}"))?;
-        measured.push((workload, config, eps, races));
+        let paired = row_field(line, "paired_vs_fragmerge")
+            .map(|p| p.parse::<f64>())
+            .transpose()
+            .map_err(|e| format!("{workload}/{config}: bad paired_vs_fragmerge: {e}"))?;
+        measured.push((workload, config, eps, races, paired));
     }
     let find = |workload: &str, config: &str| {
-        measured.iter().find(|(w, c, _, _)| w == workload && c == config)
+        measured.iter().find(|(w, c, ..)| w == workload && c == config)
     };
     let mut workloads: Vec<String> = measured
         .iter()
-        .filter(|(_, c, _, _)| c == "fragmerge")
-        .map(|(w, _, _, _)| w.clone())
+        .filter(|(_, c, ..)| c == "fragmerge")
+        .map(|(w, ..)| w.clone())
         .collect();
     workloads.dedup();
     if workloads.is_empty() {
@@ -462,9 +487,9 @@ fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
     }
     let mut lines = Vec::new();
     for w in &workloads {
-        let (_, _, tree_eps, tree_races) =
+        let (_, _, tree_eps, tree_races, _) =
             find(w, "fragmerge").ok_or_else(|| format!("{w}: missing fragmerge row"))?;
-        let (_, _, flat_eps, flat_races) =
+        let (_, _, flat_eps, flat_races, paired) =
             find(w, "flat").ok_or_else(|| format!("{w}: missing flat row"))?;
         if flat_races != tree_races {
             return Err(format!(
@@ -472,15 +497,18 @@ fn guard_report(text: &str, tolerance: f64) -> Result<Vec<String>, String> {
                  verdict divergence"
             ));
         }
-        let ratio = flat_eps / tree_eps;
+        let (ratio, how) = match paired {
+            Some(p) => (*p, "paired median"),
+            None => (flat_eps / tree_eps, "events/sec"),
+        };
         // NaN (from a zero/garbage tree rate) must fail, not pass.
         if ratio.is_nan() || ratio < tolerance {
             return Err(format!(
-                "{w}: flat is {ratio:.3}x fragmerge ({flat_eps:.0} vs {tree_eps:.0} \
-                 events/sec), below tolerance {tolerance}"
+                "{w}: flat is {ratio:.3}x fragmerge by {how} ({flat_eps:.0} vs \
+                 {tree_eps:.0} best events/sec), below tolerance {tolerance}"
             ));
         }
-        lines.push(format!("{w}: flat/fragmerge = {ratio:.2}x"));
+        lines.push(format!("{w}: flat/fragmerge = {ratio:.2}x ({how})"));
     }
     Ok(lines)
 }
@@ -579,11 +607,14 @@ fn main() -> ExitCode {
         // round-robin instead — every config sees the same drift — and
         // they get far more samples than the millisecond-scale
         // synthetic workloads.
-        let timings: Vec<(f64, f64)> = if name.starts_with("corpus/") {
+        let timings: Vec<(f64, f64, Option<f64>)> = if name.starts_with("corpus/") {
             let samples = if smoke { 3 } else { 61 };
             bench_interleaved(trace, samples, |cfg, t| {
                 eprintln!("bench_hotpath/{name}/{}: {:.1} ns (interleaved)", cfg.name(), t.1);
             })
+            .into_iter()
+            .map(|(median, best, paired)| (median, best, Some(paired)))
+            .collect()
         } else {
             group.sample_size(if smoke { 3 } else { 7 });
             Config::ALL
@@ -592,11 +623,11 @@ fn main() -> ExitCode {
                     let id = format!("{name}/{}", cfg.name());
                     group.bench(&id, || black_box(replay_with(trace, cfg).events));
                     let res = group.results().last().expect("just benched");
-                    (res.median_ns, best_sample(res))
+                    (res.median_ns, best_sample(res), None)
                 })
                 .collect()
         };
-        for ((&cfg, out), (median_ns, best_ns)) in
+        for ((&cfg, out), (median_ns, best_ns, paired_vs_fragmerge)) in
             Config::ALL.iter().zip(&outcomes).zip(timings)
         {
             let fast_hit_rate = if out.stats.recorded == 0 {
@@ -614,6 +645,7 @@ fn main() -> ExitCode {
                 median_ns,
                 best_ns,
                 events_per_sec: events as f64 / (best_ns / 1e9),
+                paired_vs_fragmerge,
             });
         }
     }
@@ -645,6 +677,7 @@ fn main() -> ExitCode {
             median_ns,
             best_ns,
             events_per_sec: live_ops as f64 / (best_ns / 1e9),
+            paired_vs_fragmerge: None,
         });
     }
     group.finish();

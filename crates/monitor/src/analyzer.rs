@@ -26,14 +26,14 @@
 
 use crate::reduce::KeyedReduce;
 use rma_substrate::channel::{unbounded, Receiver, Sender};
-use rma_substrate::sync::{Condvar, Mutex, RwLock};
+use rma_substrate::sync::{Condvar, Mutex};
 use rma_core::{
     AccessStore, FlatStore, FragMergeStore, Interval, LegacyStore, MemAccess, MemGauge,
     MeteredStore, NaiveStore, RaceReport, StoreRebuild, StoreStats,
 };
 use rma_sim::{AbortView, HookResult, LocalEvent, Monitor, RankId, RmaEvent, WinId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which insertion algorithm backs the per-(rank, window) stores.
@@ -205,20 +205,53 @@ impl AnalyzerCfg {
     }
 }
 
-/// Per-window detector state shared by all ranks.
-struct WinDet {
-    stores: Vec<Mutex<Box<dyn AccessStore + Send>>>,
-    epoch_open: Vec<AtomicBool>,
-    epoch_seq: Vec<AtomicU64>,
-    /// Cumulative count of remote accesses issued by rank `o` towards
-    /// rank `t`'s window: `sent[o][t]`.
-    sent: Vec<Mutex<Vec<u64>>>,
-    /// Cumulative count of remote-access records processed at each
-    /// target.
-    received: Vec<AtomicU64>,
+/// Pads (and aligns) `T` to its own pair of cache lines, so that state
+/// written by one rank thread never shares a line with another's
+/// (adjacent-line prefetch pulls lines in pairs, hence 128 bytes).
+#[repr(align(128))]
+struct CacheLine<T>(T);
+
+/// Per-target `sent` counters held in one [`CacheLine`].
+const SENT_PER_LINE: usize = 16;
+
+/// One rank's share of a window's detector state. Every field but the
+/// store lock is written only by the rank itself (or, for `received`,
+/// by whoever just inserted into this rank's store under that lock), so
+/// a hook on rank `r` touches no other rank's lines except the target
+/// store of a remote access (DESIGN §11.4).
+#[repr(align(128))]
+struct RankSlot {
+    store: Mutex<Box<dyn AccessStore + Send>>,
+    epoch_open: AtomicBool,
     /// Has the rank called `flush_all` with no one-sided operation issued
     /// since?
-    flushed: Vec<AtomicBool>,
+    flushed: AtomicBool,
+    epoch_seq: AtomicU64,
+    /// Cumulative count of remote-access records processed at this rank.
+    received: AtomicU64,
+    /// Cumulative count of remote accesses this rank issued towards each
+    /// target `t`, at `sent[t / SENT_PER_LINE].0[t % SENT_PER_LINE]`.
+    sent: Box<[CacheLine<[AtomicU64; SENT_PER_LINE]>]>,
+}
+
+impl RankSlot {
+    fn sent_to(&self, target: RankId) -> &AtomicU64 {
+        let t = target.index();
+        &self.sent[t / SENT_PER_LINE].0[t % SENT_PER_LINE]
+    }
+
+    /// This rank's cumulative per-target counts, `nranks` of them.
+    fn sent_counts(&self, nranks: usize) -> impl Iterator<Item = u64> + '_ {
+        self.sent.iter().flat_map(|l| &l.0).take(nranks).map(|c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// Per-window detector state shared by all ranks.
+struct WinDet {
+    slots: Box<[RankSlot]>,
+    /// Ranks inside [`WinDet::wait_received`]: `received` bumps take the
+    /// gate and notify only while this is non-zero.
+    waiters: AtomicUsize,
     /// Wakes ranks waiting for `received` to advance.
     recv_gate: (Mutex<()>, Condvar),
 }
@@ -226,36 +259,154 @@ struct WinDet {
 impl WinDet {
     fn new(nranks: u32, cfg: &AnalyzerCfg) -> Self {
         let n = nranks as usize;
+        let slot = || RankSlot {
+            store: Mutex::new(cfg.build_store(None)),
+            epoch_open: AtomicBool::new(false),
+            flushed: AtomicBool::new(false),
+            epoch_seq: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+            sent: (0..n.div_ceil(SENT_PER_LINE))
+                .map(|_| CacheLine(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
+        };
         WinDet {
-            stores: (0..n).map(|_| Mutex::new(cfg.build_store(None))).collect(),
-            epoch_open: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            epoch_seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            sent: (0..n).map(|_| Mutex::new(vec![0; n])).collect(),
-            received: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            flushed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            slots: (0..n).map(|_| slot()).collect(),
+            waiters: AtomicUsize::new(0),
             recv_gate: (Mutex::new(()), Condvar::new()),
         }
     }
 
-    fn bump_received(&self, target: RankId) {
-        self.received[target.index()].fetch_add(1, Ordering::Release);
-        let _g = self.recv_gate.0.lock();
-        self.recv_gate.1.notify_all();
+    fn slot(&self, rank: RankId) -> &RankSlot {
+        &self.slots[rank.index()]
     }
 
-    /// Waits until `received[rank] >= expected`; `false` on cancel/timeout.
+    /// Publishes one more processed record at `target` and wakes any
+    /// rank waiting on it.
+    fn bump_received(&self, target: RankId) {
+        self.slot(target).received.fetch_add(1, Ordering::SeqCst);
+        self.wake_waiters();
+    }
+
+    /// Notifies the gate, but only while a waiter is registered: with
+    /// nobody in [`WinDet::wait_received`] — always under
+    /// [`Delivery::Direct`] until epoch end — a bump is one atomic add.
+    /// Both sides use SeqCst: the waiter counts itself in before it
+    /// checks `received`, the bumper adds before it checks `waiters`, so
+    /// at least one of them sees the other's write.
+    fn wake_waiters(&self) {
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            let _g = self.recv_gate.0.lock();
+            self.recv_gate.1.notify_all();
+        }
+    }
+
+    /// Waits until `rank` has processed `expected` records; `false` on
+    /// cancel/timeout. The 2 ms timed wait stays as a backstop.
     fn wait_received(&self, rank: RankId, expected: u64, cancelled: impl Fn() -> bool) -> bool {
+        let received = &self.slot(rank).received;
+        if received.load(Ordering::SeqCst) >= expected {
+            return true;
+        }
         let deadline = Instant::now() + Duration::from_secs(30);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut guard = self.recv_gate.0.lock();
-        loop {
-            if self.received[rank.index()].load(Ordering::Acquire) >= expected {
-                return true;
+        let done = loop {
+            if received.load(Ordering::SeqCst) >= expected {
+                break true;
             }
             if cancelled() || Instant::now() >= deadline {
-                return false;
+                break false;
             }
             self.recv_gate.1.wait_for(&mut guard, Duration::from_millis(2));
+        };
+        drop(guard);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        done
+    }
+
+    /// Notifications issued towards any rank of this window, and records
+    /// processed at their targets.
+    fn notifications(&self) -> (u64, u64) {
+        let n = self.slots.len();
+        let sent = self.slots.iter().flat_map(|s| s.sent_counts(n)).sum();
+        let received = self.slots.iter().map(|s| s.received.load(Ordering::Acquire)).sum();
+        (sent, received)
+    }
+
+    /// Polls until every notification issued on this window has been
+    /// processed (only `Messages` mode can lag); `false` on a 5 s
+    /// timeout or cancellation. Callers hold every rank thread parked in
+    /// a collective, so `sent` no longer moves.
+    fn drain(&self, cancelled: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let (sent, received) = self.notifications();
+            if received >= sent {
+                return true;
+            }
+            if Instant::now() >= deadline || cancelled() {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(100));
         }
+    }
+}
+
+/// Buckets of the window table: bucket `b` holds windows
+/// `2^b - 1 .. 2^(b+1) - 1`, enough buckets for every `u32` window id.
+const WIN_BUCKETS: usize = u32::BITS as usize + 1;
+
+/// Append-only table of per-window state with no fixed capacity.
+/// Buckets double in size and are never moved once allocated, so a
+/// lookup is two acquire loads (bucket, then slot) and hands out a plain
+/// `&WinDet`: no lock, no refcount. Appends are serialized by `grown`.
+struct WinTable {
+    buckets: [OnceLock<Box<[OnceLock<WinDet>]>>; WIN_BUCKETS],
+    /// Windows appended so far; slots are filled in index order.
+    grown: Mutex<usize>,
+}
+
+impl WinTable {
+    fn new() -> Self {
+        WinTable { buckets: std::array::from_fn(|_| OnceLock::new()), grown: Mutex::new(0) }
+    }
+
+    /// (bucket, offset) of window index `i`.
+    fn locate(i: usize) -> (usize, usize) {
+        let k = i + 1;
+        let b = (usize::BITS - 1 - k.leading_zeros()) as usize;
+        (b, k - (1 << b))
+    }
+
+    fn get(&self, win: WinId) -> &WinDet {
+        let (b, off) = Self::locate(win.index());
+        self.buckets[b]
+            .get()
+            .and_then(|bucket| bucket[off].get())
+            .unwrap_or_else(|| panic!("RMA-Analyzer hook on unallocated window {win:?}"))
+    }
+
+    /// Appends windows until `win` exists.
+    fn ensure(&self, win: WinId, make: impl Fn() -> WinDet) {
+        let mut grown = self.grown.lock();
+        while *grown <= win.index() {
+            let (b, off) = Self::locate(*grown);
+            let bucket =
+                self.buckets[b].get_or_init(|| (0..1usize << b).map(|_| OnceLock::new()).collect());
+            let _ = bucket[off].set(make());
+            *grown += 1;
+        }
+    }
+
+    /// Every window allocated so far, in id order.
+    fn iter(&self) -> impl Iterator<Item = (WinId, &WinDet)> {
+        self.buckets
+            .iter()
+            .map_while(OnceLock::get)
+            .flat_map(|bucket| bucket.iter())
+            .map_while(OnceLock::get)
+            .enumerate()
+            .map(|(i, w)| (WinId(i as u32), w))
     }
 }
 
@@ -315,13 +466,24 @@ struct RecvJournal {
     respawns: u32,
     /// The receiver thread; `None` once dead beyond the budget.
     worker: Option<RecvWorker>,
+    /// The live receiver's channel (replaced on recovery, dropped at
+    /// world end): every send happens under this journal lock.
+    tx: Option<Sender<Note>>,
+}
+
+impl RecvJournal {
+    /// Sends through the live channel; `false` if the receiver is gone.
+    fn send(&self, note: Note) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send(note).is_ok())
+    }
 }
 
 /// Per-rank receiver supervision (`Messages` mode).
 ///
-/// Lock order: `journal` → store lock → (`senders`/`wins` read). The
-/// receiver itself never takes `journal`, so killing and joining it
-/// while holding the journal lock cannot deadlock.
+/// Lock order: `journal` → store lock. The receiver itself never takes
+/// `journal`, so killing and joining it while holding the journal lock
+/// cannot deadlock.
+#[repr(align(128))]
 struct RecvSup {
     journal: Mutex<RecvJournal>,
     /// Highest notification seq fully processed at this rank (the
@@ -333,26 +495,25 @@ struct RecvSup {
 
 /// One origin rank's unflushed notification batch towards one target:
 /// the window and access of every buffered `Note` item, in issue order.
-type BatchBuf = Mutex<Vec<(WinId, MemAccess)>>;
+type BatchBuf = CacheLine<Mutex<Vec<(WinId, MemAccess)>>>;
 
 /// Shared innards of the analyzer (receiver threads hold a second Arc).
 struct Inner {
     cfg: AnalyzerCfg,
     nranks: AtomicU64,
-    wins: RwLock<Vec<Arc<WinDet>>>,
+    wins: WinTable,
     collected: Mutex<Vec<RaceReport>>,
     reduce: KeyedReduce<(u32, u64, u8)>,
     poisoned: AtomicBool,
     abort_view: Mutex<Option<AbortView>>,
-    senders: RwLock<Vec<Sender<Note>>>,
-    /// Per-rank receiver supervision (`Messages` mode; empty otherwise).
-    sup: RwLock<Vec<Arc<RecvSup>>>,
-    /// `Messages`-mode batch buffers, `pending[origin][target]`: window
-    /// and access of every notification origin has issued towards target
-    /// but not yet flushed into target's journal + channel. Populated at
-    /// world start only when `batch_size > 1`; empty otherwise.
+    /// Per-rank receiver supervision (`Messages` mode; unset otherwise).
+    sup: OnceLock<Box<[RecvSup]>>,
+    /// `Messages`-mode batch buffers, `pending[origin * nranks + target]`:
+    /// window and access of every notification origin has issued towards
+    /// target but not yet flushed into target's journal + channel. Set
+    /// at world start only when `batch_size > 1`.
     /// Lock order: buffer mutex → target journal (never the reverse).
-    pending: RwLock<Vec<Vec<BatchBuf>>>,
+    pending: OnceLock<Box<[BatchBuf]>>,
     /// Total receiver recoveries performed across all ranks.
     total_respawns: AtomicU64,
     /// `MPI_Win_flush` calls observed but (deliberately) not acted upon —
@@ -375,8 +536,13 @@ impl Inner {
                 .is_some_and(|v| v.is_aborted())
     }
 
-    fn windet(&self, win: WinId) -> Arc<WinDet> {
-        self.wins.read()[win.index()].clone()
+    fn windet(&self, win: WinId) -> &WinDet {
+        self.wins.get(win)
+    }
+
+    /// Per-rank receiver supervision (empty outside `Messages` mode).
+    fn sups(&self) -> &[RecvSup] {
+        self.sup.get().map_or(&[], |s| s)
     }
 
     /// In `Abort` mode: the race (if any) a worker/receiver found, which
@@ -406,10 +572,7 @@ impl Inner {
     /// notification protocol). Returns the race verdict.
     fn deliver_remote(&self, win: WinId, acc: MemAccess, target: RankId) -> HookResult {
         let w = self.windet(win);
-        let verdict = {
-            let mut store = w.stores[target.index()].lock();
-            store.record(acc)
-        };
+        let verdict = w.slot(target).store.lock().record(acc);
         // Register the race (poisoning, in Abort mode) BEFORE publishing
         // the processed count: a rank woken by `wait_received` must
         // already be able to observe the poison flag, or it would close
@@ -427,13 +590,13 @@ impl Inner {
     /// exactly once. A skipped duplicate bumps nothing — the original
     /// processing already counted it.
     fn deliver_remote_recv(&self, win: WinId, acc: MemAccess, target: RankId, seq: u64) {
-        let sup = self.sup.read()[target.index()].clone();
+        let sup = &self.sups()[target.index()];
         if sup.processed.load(Ordering::Acquire) >= seq {
             return;
         }
         let w = self.windet(win);
         let verdict = {
-            let mut store = w.stores[target.index()].lock();
+            let mut store = w.slot(target).store.lock();
             let v = store.record(acc);
             // Watermark and store advance together (same critical
             // section): a recovery joining this thread sees either both
@@ -454,9 +617,9 @@ impl Inner {
     /// [`Inner::deliver_remote_recv`], with the per-note overheads
     /// amortized over the batch — a run of consecutive same-window items
     /// is applied under a single store-lock acquisition, the processed
-    /// count advances by the whole run at once and the receive gate is
-    /// notified once per run instead of once per item (waiters poll the
-    /// count every 2 ms anyway, so delivery latency is unaffected).
+    /// count advances by the whole run at once and waiters are woken once
+    /// per run instead of once per item (they poll the count every 2 ms
+    /// anyway, so delivery latency is unaffected).
     ///
     /// Returns `false` if the kill flag fired mid-batch; the watermark
     /// then sits exactly at the last processed item and recovery
@@ -468,7 +631,7 @@ impl Inner {
         base_seq: u64,
         die: &AtomicBool,
     ) -> bool {
-        let sup = self.sup.read()[target.index()].clone();
+        let sup = &self.sups()[target.index()];
         let mut i = 0;
         while i < items.len() {
             if die.load(Ordering::Acquire) {
@@ -476,11 +639,12 @@ impl Inner {
             }
             let win = items[i].0;
             let w = self.windet(win);
+            let received = &w.slot(target).received;
             let mut raced: Option<Box<RaceReport>> = None;
             let mut delivered = 0u64;
             let mut killed = false;
             {
-                let mut store = w.stores[target.index()].lock();
+                let mut store = w.slot(target).store.lock();
                 while i < items.len() && items[i].0 == win {
                     // A kill can land mid-run: the loop exits with the
                     // watermark mid-batch, exactly like a crash between
@@ -512,16 +676,13 @@ impl Inner {
                 }
             }
             if delivered > 0 {
-                w.received[target.index()].fetch_add(delivered, Ordering::Release);
+                received.fetch_add(delivered, Ordering::SeqCst);
             }
             if let Some(report) = raced {
                 let _ = self.race(report);
-                w.received[target.index()].fetch_add(1, Ordering::Release);
+                received.fetch_add(1, Ordering::SeqCst);
             }
-            {
-                let _g = w.recv_gate.0.lock();
-                w.recv_gate.1.notify_all();
-            }
+            w.wake_waiters();
             if killed {
                 return false;
             }
@@ -541,12 +702,12 @@ impl Inner {
         rank: RankId,
         acc: MemAccess,
     ) -> Result<(), Box<RaceReport>> {
+        let store = &w.slot(rank).store;
         if self.cfg.delivery != Delivery::Messages {
-            return w.stores[rank.index()].lock().record(acc);
+            return store.lock().record(acc);
         }
-        let sup = self.sup.read()[rank.index()].clone();
-        let mut j = sup.journal.lock();
-        let verdict = w.stores[rank.index()].lock().record(acc);
+        let mut j = self.sups()[rank.index()].journal.lock();
+        let verdict = store.lock().record(acc);
         if verdict.is_ok() {
             // A racing access is never inserted, so it is not journaled
             // either: a replay reproduces exactly the stored contents.
@@ -557,11 +718,9 @@ impl Inner {
 
     /// Clears every store of `win` (used by the flush+barrier rule).
     fn clear_window(&self, win: &WinDet) {
-        for store in &win.stores {
-            store.lock().clear();
-        }
-        for f in &win.flushed {
-            f.store(false, Ordering::Relaxed);
+        for slot in win.slots.iter() {
+            slot.store.lock().clear();
+            slot.flushed.store(false, Ordering::Relaxed);
         }
     }
 }
@@ -597,14 +756,13 @@ impl RmaAnalyzer {
             inner: Arc::new(Inner {
                 cfg,
                 nranks: AtomicU64::new(0),
-                wins: RwLock::new(Vec::new()),
+                wins: WinTable::new(),
                 collected: Mutex::new(Vec::new()),
                 reduce: KeyedReduce::default(),
                 poisoned: AtomicBool::new(false),
                 abort_view: Mutex::new(None),
-                senders: RwLock::new(Vec::new()),
-                sup: RwLock::new(Vec::new()),
-                pending: RwLock::new(Vec::new()),
+                sup: OnceLock::new(),
+                pending: OnceLock::new(),
                 total_respawns: AtomicU64::new(0),
                 unsupported_flushes: AtomicU64::new(0),
             }),
@@ -621,10 +779,16 @@ impl RmaAnalyzer {
     pub fn window_stats(&self) -> Vec<Vec<StoreStats>> {
         self.inner
             .wins
-            .read()
             .iter()
-            .map(|w| w.stores.iter().map(|s| s.lock().stats()).collect())
+            .map(|(_, w)| w.slots.iter().map(|s| s.store.lock().stats()).collect())
             .collect()
+    }
+
+    /// Per window: remote accesses issued towards any rank so far, and
+    /// remote-access records processed at their targets. The two agree
+    /// once every epoch that issued them has closed.
+    pub fn window_notifications(&self) -> Vec<(u64, u64)> {
+        self.inner.wins.iter().map(|(_, w)| w.notifications()).collect()
     }
 
     /// Sum of peak node counts over every store — the paper's "number of
@@ -702,19 +866,16 @@ impl RmaAnalyzer {
     /// here, and beyond the budget the rank aborts the world through a
     /// structured panic instead of losing the notification.
     fn send_remote(&self, target: RankId, win: WinId, acc: MemAccess) -> HookResult {
-        let sup = self.inner.sup.read()[target.index()].clone();
+        let sup = &self.inner.sups()[target.index()];
         let mut j = sup.journal.lock();
         loop {
             let seq = j.sent_seq + 1;
-            let sent = self.inner.senders.read()[target.index()]
-                .send(Note::Remote { seq, win, acc })
-                .is_ok();
-            if sent {
+            if j.send(Note::Remote { seq, win, acc }) {
                 j.sent_seq = seq;
                 j.entries.push(RecvEntry::Sent { seq, win, acc });
                 return Ok(());
             }
-            if !self.recover_locked(target, &sup, &mut j) {
+            if !self.recover_locked(target, sup, &mut j) {
                 panic!(
                     "RMA-Analyzer receiver for rank {} died beyond the respawn \
                      budget with notifications in flight; aborting world",
@@ -729,15 +890,21 @@ impl RmaAnalyzer {
     /// once the size threshold is reached. Only ever called from origin's
     /// own rank thread, so each buffer is filled single-threadedly.
     fn buffer_remote(&self, origin: RankId, target: RankId, win: WinId, acc: MemAccess) {
+        let Some(buf) = self.pending_buf(origin, target) else { return };
         let full = {
-            let pending = self.inner.pending.read();
-            let mut buf = pending[origin.index()][target.index()].lock();
+            let mut buf = buf.0.lock();
             buf.push((win, acc));
             buf.len() >= self.inner.cfg.batch_size
         };
         if full {
             self.flush_batch(origin, target);
         }
+    }
+
+    /// The `pending[origin][target]` batch buffer (`None` unless batching).
+    fn pending_buf(&self, origin: RankId, target: RankId) -> Option<&BatchBuf> {
+        let n = self.inner.nranks() as usize;
+        self.inner.pending.get().map(|p| &p[origin.index() * n + target.index()])
     }
 
     /// Flushes one `pending[origin][target]` buffer: assigns the run of
@@ -747,28 +914,20 @@ impl RmaAnalyzer {
     /// uses — `recover_locked` re-delivers the journaled-but-unprocessed
     /// suffix through the fresh channel.
     fn flush_batch(&self, origin: RankId, target: RankId) {
-        let items: Vec<(WinId, MemAccess)> = {
-            let pending = self.inner.pending.read();
-            if pending.is_empty() {
-                return;
-            }
-            let taken = std::mem::take(&mut *pending[origin.index()][target.index()].lock());
-            taken
-        };
+        let Some(buf) = self.pending_buf(origin, target) else { return };
+        let items = std::mem::take(&mut *buf.0.lock());
         if items.is_empty() {
             return;
         }
-        let sup = self.inner.sup.read()[target.index()].clone();
+        let sup = &self.inner.sups()[target.index()];
         let mut j = sup.journal.lock();
         let base_seq = j.sent_seq + 1;
         for (i, (win, acc)) in items.iter().enumerate() {
             j.entries.push(RecvEntry::Sent { seq: base_seq + i as u64, win: *win, acc: *acc });
         }
         j.sent_seq += items.len() as u64;
-        let sent = self.inner.senders.read()[target.index()]
-            .send(Note::Batch { base_seq, items })
-            .is_ok();
-        if !sent && !self.recover_locked(target, &sup, &mut j) {
+        let sent = j.send(Note::Batch { base_seq, items });
+        if !sent && !self.recover_locked(target, sup, &mut j) {
             panic!(
                 "RMA-Analyzer receiver for rank {} died beyond the respawn \
                  budget with a notification batch in flight; aborting world",
@@ -799,7 +958,7 @@ impl RmaAnalyzer {
     /// silently, the unprocessed suffix through the new channel).
     /// Returns `false` — leaving the rank receiver-less — once the
     /// respawn budget is exhausted.
-    fn recover_locked(&self, rank: RankId, sup: &Arc<RecvSup>, j: &mut RecvJournal) -> bool {
+    fn recover_locked(&self, rank: RankId, sup: &RecvSup, j: &mut RecvJournal) -> bool {
         if let Some(w) = j.worker.take() {
             let _ = w.handle.join();
         }
@@ -816,15 +975,14 @@ impl RmaAnalyzer {
         // Restore: roll every store of this rank back to the checkpoint
         // *before* re-delivering — replaying an already-recorded access
         // against a store that still holds it would self-conflict.
-        let wins: Vec<Arc<WinDet>> = self.inner.wins.read().iter().cloned().collect();
-        for (wi, w) in wins.iter().enumerate() {
-            let snap = j.checkpoint.get(wi).map(Vec::as_slice).unwrap_or(&[]);
-            w.stores[rank.index()].lock().restore(snap);
+        for (win, w) in self.inner.wins.iter() {
+            let snap = j.checkpoint.get(win.index()).map(Vec::as_slice).unwrap_or(&[]);
+            w.slot(rank).store.lock().restore(snap);
         }
         // Fresh channel + receiver; the stale sender is unreachable from
         // here on, so no notification can race past the journal.
         let (tx, rx) = unbounded();
-        self.inner.senders.write()[rank.index()] = tx;
+        j.tx = Some(tx);
         j.worker = Some(self.spawn_receiver(rank, rx));
         // Re-deliver in two passes. Pass 1 reconstructs the pre-kill
         // store: entries the dead receiver had processed (and all inline
@@ -844,22 +1002,18 @@ impl RmaAnalyzer {
         for e in &j.entries {
             match e {
                 RecvEntry::Applied { win, acc } => {
-                    let _ = wins[win.index()].stores[rank.index()].lock().record(*acc);
+                    let _ = self.inner.windet(*win).slot(rank).store.lock().record(*acc);
                 }
                 RecvEntry::Sent { seq, win, acc } if *seq <= processed => {
-                    let _ = wins[win.index()].stores[rank.index()].lock().record(*acc);
+                    let _ = self.inner.windet(*win).slot(rank).store.lock().record(*acc);
                 }
                 RecvEntry::Sent { .. } => {}
             }
         }
         for e in &j.entries {
-            if let RecvEntry::Sent { seq, win, acc } = e {
-                if *seq > processed {
-                    let _ = self.inner.senders.read()[rank.index()].send(Note::Remote {
-                        seq: *seq,
-                        win: *win,
-                        acc: *acc,
-                    });
+            if let RecvEntry::Sent { seq, win, acc } = *e {
+                if seq > processed {
+                    j.send(Note::Remote { seq, win, acc });
                 }
             }
         }
@@ -874,7 +1028,7 @@ impl RmaAnalyzer {
         if self.inner.cfg.delivery != Delivery::Messages {
             return;
         }
-        let Some(sup) = self.inner.sup.read().get(rank.index()).cloned() else {
+        let Some(sup) = self.inner.sups().get(rank.index()) else {
             return;
         };
         let mut j = sup.journal.lock();
@@ -887,10 +1041,11 @@ impl RmaAnalyzer {
         // Inline inserts and sends towards this rank both hold the
         // journal lock, and the idle receiver has nothing queued: the
         // snapshot below is a consistent cut of the rank's stores.
-        let wins: Vec<Arc<WinDet>> = self.inner.wins.read().iter().cloned().collect();
-        j.checkpoint = wins
+        j.checkpoint = self
+            .inner
+            .wins
             .iter()
-            .map(|w| w.stores[rank.index()].lock().snapshot())
+            .map(|(_, w)| w.slot(rank).store.lock().snapshot())
             .collect();
         j.entries.clear();
     }
@@ -900,23 +1055,25 @@ impl Monitor for RmaAnalyzer {
     fn on_world_start(&self, nranks: u32) {
         self.inner.nranks.store(u64::from(nranks), Ordering::Relaxed);
         if self.inner.cfg.delivery == Delivery::Messages {
-            let mut senders = self.inner.senders.write();
-            let mut sups = self.inner.sup.write();
-            for r in 0..nranks {
+            let sups = self.inner.sup.get_or_init(|| {
+                (0..nranks)
+                    .map(|_| RecvSup {
+                        journal: Mutex::new(RecvJournal::default()),
+                        processed: AtomicU64::new(0),
+                    })
+                    .collect()
+            });
+            for (r, sup) in sups.iter().enumerate() {
                 let (tx, rx) = unbounded();
-                senders.push(tx);
-                let sup = Arc::new(RecvSup {
-                    journal: Mutex::new(RecvJournal::default()),
-                    processed: AtomicU64::new(0),
-                });
-                sup.journal.lock().worker = Some(self.spawn_receiver(RankId(r), rx));
-                sups.push(sup);
+                let mut j = sup.journal.lock();
+                j.tx = Some(tx);
+                j.worker = Some(self.spawn_receiver(RankId(r as u32), rx));
             }
             if self.inner.cfg.batch_size > 1 {
                 let n = nranks as usize;
-                *self.inner.pending.write() = (0..n)
-                    .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
-                    .collect();
+                self.inner
+                    .pending
+                    .get_or_init(|| (0..n * n).map(|_| CacheLine(Mutex::new(Vec::new()))).collect());
             }
         }
     }
@@ -932,30 +1089,30 @@ impl Monitor for RmaAnalyzer {
             for o in 0..self.inner.nranks() {
                 self.flush_pending_from(RankId(o));
             }
-            for tx in self.inner.senders.read().iter() {
-                let _ = tx.send(Note::Stop);
+            let workers: Vec<RecvWorker> = self
+                .inner
+                .sups()
+                .iter()
+                .filter_map(|sup| {
+                    let mut j = sup.journal.lock();
+                    j.send(Note::Stop);
+                    j.tx = None;
+                    j.worker.take()
+                })
+                .collect();
+            for w in workers {
+                let _ = w.handle.join();
             }
-            let sups: Vec<Arc<RecvSup>> = self.inner.sup.read().clone();
-            for sup in sups {
-                let worker = sup.journal.lock().worker.take();
-                if let Some(w) = worker {
-                    let _ = w.handle.join();
-                }
-            }
-            self.inner.senders.write().clear();
         }
     }
 
     fn on_win_allocate(&self, _rank: RankId, win: WinId, _base: u64, _len: u64) {
-        let mut wins = self.inner.wins.write();
-        while wins.len() <= win.index() {
-            wins.push(Arc::new(WinDet::new(self.inner.nranks(), &self.inner.cfg)));
-        }
+        let inner = &self.inner;
+        inner.wins.ensure(win, || WinDet::new(inner.nranks(), &inner.cfg));
     }
 
     fn on_lock_all(&self, rank: RankId, win: WinId) {
-        let w = self.inner.windet(win);
-        w.epoch_open[rank.index()].store(true, Ordering::Relaxed);
+        self.inner.windet(win).slot(rank).epoch_open.store(true, Ordering::Relaxed);
     }
 
     fn on_local(&self, ev: &LocalEvent) -> HookResult {
@@ -966,14 +1123,13 @@ impl Monitor for RmaAnalyzer {
         // from this rank thread.
         self.inner.pending_poison()?;
         let acc = MemAccess::new(ev.interval, ev.kind, ev.rank, ev.loc);
-        let wins: Vec<Arc<WinDet>> = self.inner.wins.read().iter().cloned().collect();
-        for (wi, w) in wins.iter().enumerate() {
+        for (win, w) in self.inner.wins.iter() {
             // Local accesses are only relevant while the rank is inside an
             // epoch on that window (outside, no remote access can overlap).
-            if !w.epoch_open[ev.rank.index()].load(Ordering::Relaxed) {
+            if !w.slot(ev.rank).epoch_open.load(Ordering::Relaxed) {
                 continue;
             }
-            let verdict = self.inner.record_inline(w, WinId(wi as u32), ev.rank, acc);
+            let verdict = self.inner.record_inline(w, win, ev.rank, acc);
             if let Err(report) = verdict {
                 return self.inner.race(report);
             }
@@ -985,13 +1141,14 @@ impl Monitor for RmaAnalyzer {
         let inner = &self.inner;
         inner.pending_poison()?;
         let w = inner.windet(ev.win);
+        let origin = w.slot(ev.origin);
         // Issuing a one-sided operation invalidates any earlier flush.
-        w.flushed[ev.origin.index()].store(false, Ordering::Relaxed);
+        origin.flushed.store(false, Ordering::Relaxed);
 
         // Origin-side record (local buffer of the origin process).
         let origin_acc =
             MemAccess::new(ev.origin_interval, ev.origin_kind(), ev.origin, ev.loc);
-        let verdict = inner.record_inline(&w, ev.win, ev.origin, origin_acc);
+        let verdict = inner.record_inline(w, ev.win, ev.origin, origin_acc);
         if let Err(report) = verdict {
             return inner.race(report);
         }
@@ -999,7 +1156,7 @@ impl Monitor for RmaAnalyzer {
         // Target-side record: notify the target.
         let target_acc =
             MemAccess::new(ev.target_interval, ev.target_kind(), ev.origin, ev.loc);
-        w.sent[ev.origin.index()].lock()[ev.target.index()] += 1;
+        origin.sent_to(ev.target).fetch_add(1, Ordering::Relaxed);
         match inner.cfg.delivery {
             Delivery::Direct => inner.deliver_remote(ev.win, target_acc, ev.target),
             Delivery::Messages if ev.target == ev.origin => {
@@ -1011,7 +1168,7 @@ impl Monitor for RmaAnalyzer {
                 // through the receiver it would arrive after later local
                 // accesses and turn `Get; Store` into the safe-looking
                 // `Store; Get`, nondeterministically masking the race.
-                let hook = match inner.record_inline(&w, ev.win, ev.origin, target_acc) {
+                let hook = match inner.record_inline(w, ev.win, ev.origin, target_acc) {
                     Ok(()) => Ok(()),
                     Err(report) => inner.race(report),
                 };
@@ -1027,24 +1184,24 @@ impl Monitor for RmaAnalyzer {
     }
 
     fn on_flush_all(&self, rank: RankId, win: WinId) {
-        let w = self.inner.windet(win);
-        w.flushed[rank.index()].store(true, Ordering::Relaxed);
+        self.inner.windet(win).slot(rank).flushed.store(true, Ordering::Relaxed);
     }
 
     fn on_unlock_all(&self, rank: RankId, win: WinId) -> HookResult {
         let inner = &self.inner;
         let w = inner.windet(win);
+        let slot = w.slot(rank);
         // Buffered batches contributed to `sent` when issued; flush them
         // into the channels before the reduction reads those counts, or
         // `wait_received` would wait for notifications never sent.
         self.flush_pending_from(rank);
-        let seq = w.epoch_seq[rank.index()].load(Ordering::Relaxed);
+        let seq = slot.epoch_seq.load(Ordering::Relaxed);
 
         // The paper's epoch-end reduction: every rank contributes its
         // cumulative per-target notification counts; entry `t` of the sum
         // is the total number of notifications rank `t` must have
         // processed before it may clear its store.
-        let sent: Vec<u64> = w.sent[rank.index()].lock().clone();
+        let sent: Vec<u64> = slot.sent_counts(inner.nranks() as usize).collect();
         let expected = inner.reduce.allreduce(
             (win.0, seq, 0),
             &sent,
@@ -1066,9 +1223,9 @@ impl Monitor for RmaAnalyzer {
 
         // End of epoch: the store's accesses are all completed and
         // mutually ordered with everything that follows.
-        w.stores[rank.index()].lock().clear();
-        w.epoch_open[rank.index()].store(false, Ordering::Relaxed);
-        w.epoch_seq[rank.index()].fetch_add(1, Ordering::Relaxed);
+        slot.store.lock().clear();
+        slot.epoch_open.store(false, Ordering::Relaxed);
+        slot.epoch_seq.fetch_add(1, Ordering::Relaxed);
 
         // Second phase: nobody leaves unlock_all until every rank cleared,
         // so next-epoch notifications cannot be swallowed by this clear.
@@ -1099,8 +1256,7 @@ impl Monitor for RmaAnalyzer {
         self.flush_pending_from(rank);
         // Fences open an access epoch: local accesses after the fence are
         // exposed until the next fence.
-        let w = self.inner.windet(win);
-        w.epoch_open[rank.index()].store(true, Ordering::Relaxed);
+        self.inner.windet(win).slot(rank).epoch_open.store(true, Ordering::Relaxed);
     }
 
     fn on_fence_last(&self, win: WinId) {
@@ -1110,24 +1266,9 @@ impl Monitor for RmaAnalyzer {
         // window's stores.
         let inner = &self.inner;
         let w = inner.windet(win);
-        let expected: u64 = {
-            let n = inner.nranks() as usize;
-            let mut sum = 0u64;
-            for o in 0..n {
-                sum += w.sent[o].lock().iter().sum::<u64>();
-            }
-            sum
-        };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let received: u64 = w.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-            if received >= expected || Instant::now() >= deadline || inner.cancelled() {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        for store in &w.stores {
-            store.lock().clear();
+        w.drain(|| inner.cancelled());
+        for slot in w.slots.iter() {
+            slot.store.lock().clear();
         }
         // All rank threads are parked in the fence: checkpoint every
         // rank whose receiver has drained.
@@ -1147,41 +1288,12 @@ impl Monitor for RmaAnalyzer {
         // Section 6 rule: flush_all on every rank followed by a barrier
         // synchronizes the epoch's accesses; the stores can be cleared.
         let inner = &self.inner;
-        let wins: Vec<Arc<WinDet>> = inner.wins.read().iter().cloned().collect();
-        for w in wins {
-            let all_flushed = w
-                .flushed
-                .iter()
-                .take(inner.nranks() as usize)
-                .all(|f| f.load(Ordering::Relaxed));
-            if !all_flushed {
-                continue;
-            }
+        for (_, w) in inner.wins.iter() {
+            let all_flushed = w.slots.iter().all(|s| s.flushed.load(Ordering::Relaxed));
             // All rank threads are parked in the barrier; wait for any
             // in-flight notifications (Messages mode), then clear.
-            let expected: u64 = {
-                let n = inner.nranks() as usize;
-                let mut per_target = vec![0u64; n];
-                for o in 0..n {
-                    for (t, v) in w.sent[o].lock().iter().enumerate() {
-                        per_target[t] += v;
-                    }
-                }
-                per_target.iter().sum()
-            };
-            let received: u64 = w.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-            if received >= expected || {
-                // brief drain for Messages mode
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    let r: u64 = w.received.iter().map(|r| r.load(Ordering::Acquire)).sum();
-                    if r >= expected || Instant::now() >= deadline || inner.cancelled() {
-                        break r >= expected;
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            } {
-                inner.clear_window(&w);
+            if all_flushed && w.drain(|| inner.cancelled()) {
+                inner.clear_window(w);
             }
         }
         // All rank threads are parked in the barrier: checkpoint every
@@ -1195,7 +1307,7 @@ impl Monitor for RmaAnalyzer {
         if self.inner.cfg.delivery != Delivery::Messages {
             return false; // no helper thread to kill
         }
-        let Some(sup) = self.inner.sup.read().get(rank.index()).cloned() else {
+        let Some(sup) = self.inner.sups().get(rank.index()) else {
             return false;
         };
         let mut j = sup.journal.lock();
@@ -1204,13 +1316,13 @@ impl Monitor for RmaAnalyzer {
             // backlog it holds (a queued Stop could never skip the FIFO);
             // the Stop below only wakes a receiver blocked in `recv`.
             w.die.store(true, Ordering::Release);
-            let _ = self.inner.senders.read()[rank.index()].send(Note::Stop);
+            j.send(Note::Stop);
         }
         // Synchronous kill-and-recover keeps respawn counts a pure
         // function of the fault plan and the budget (deterministic
         // chaos JSON); beyond the budget the death is a structured
         // abort right here, never a stalled quiescence wait.
-        if !self.recover_locked(rank, &sup, &mut j) {
+        if !self.recover_locked(rank, sup, &mut j) {
             panic!(
                 "RMA-Analyzer receiver for rank {} died beyond the respawn \
                  budget; aborting world",

@@ -323,3 +323,61 @@ fn stats_accounting() {
     assert_eq!(mon.total_peak_nodes(), 8);
     assert_eq!(mon.total_epoch_end_nodes(), 8);
 }
+
+/// Messages delivery, unbatched: two origins flood one target with
+/// notifications while the target goes straight to `win_unlock_all`.
+/// The full-history store makes each notification cost a scan of the
+/// target's whole store, so the single receiver falls behind its two
+/// origins and the target's epoch close waits on a backlog (the
+/// waiter-registered wake path). The epoch must close with every
+/// notification processed, and races and node counts must equal the
+/// same program under Direct delivery. Wall time is bounded by the CI
+/// `timeout`, not asserted here.
+#[test]
+fn messages_epoch_close_waits_out_receiver_backlog() {
+    const PUTS: u64 = 3_000;
+    let run = |delivery: Delivery| {
+        let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
+            algorithm: Algorithm::FullHistory,
+            on_race: OnRace::Collect,
+            delivery,
+            batch_size: 1,
+            ..AnalyzerCfg::default()
+        }));
+        let out = World::run(WorldCfg::with_ranks(3), mon.clone(), |ctx| {
+            let win = ctx.win_allocate(PUTS * 6 + 8);
+            let buf = ctx.alloc(8);
+            ctx.win_lock_all(win);
+            if ctx.rank() != RankId(2) {
+                let slot = u64::from(ctx.rank().0) * 3;
+                for i in 0..PUTS {
+                    ctx.put(&buf, 0, 2, RankId(2), i * 6 + slot, win);
+                }
+                if ctx.rank() == RankId(0) {
+                    // A second put over the first one, from another line.
+                    ctx.put(&buf, 0, 2, RankId(2), 0, win);
+                }
+            }
+            ctx.win_unlock_all(win);
+            ctx.barrier();
+        });
+        assert!(out.is_clean(), "{delivery:?}: {:?} {:?}", out.aborts, out.panics);
+        mon
+    };
+    let direct = run(Delivery::Direct);
+    let messages = run(Delivery::Messages);
+    for mon in [&direct, &messages] {
+        // The epoch closed on every rank: stores empty, one epoch each.
+        for s in mon.window_stats().iter().flatten() {
+            assert_eq!((s.len, s.epochs), (0, 1), "{s:?}");
+        }
+        let (sent, received) = mon.window_notifications()[0];
+        assert_eq!(sent, 2 * PUTS + 1);
+        assert_eq!(received, sent);
+    }
+    let direct_races = direct.races();
+    assert_eq!(direct_races.len(), 1, "{direct_races:?}");
+    assert_eq!(messages.races(), direct_races);
+    assert_eq!(messages.total_peak_nodes(), direct.total_peak_nodes());
+    assert_eq!(messages.total_epoch_end_nodes(), direct.total_epoch_end_nodes());
+}

@@ -2,7 +2,7 @@
 //! the stride-extension algorithm inside the full runtime.
 
 use rma_monitor::{Algorithm, AnalyzerCfg, Delivery, OnRace, RmaAnalyzer};
-use rma_sim::{RankId, World, WorldCfg};
+use rma_sim::{AccessKind, RankId, WinId, World, WorldCfg};
 use std::sync::Arc;
 
 /// Windows have independent address spaces and independent stores: the
@@ -33,6 +33,75 @@ fn windows_are_isolated() {
     // Each window's target store saw exactly one remote record.
     assert_eq!(stats[0][1].recorded, 1);
     assert_eq!(stats[1][1].recorded, 1);
+}
+
+/// The analyzer's window table has no fixed capacity: 70 windows cross
+/// every bucket boundary of its doubling buckets (1, 3, 7, 15, 31, 63
+/// windows), and detection works on either side of each.
+#[test]
+fn seventy_windows_cross_every_table_bucket() {
+    let mon = Arc::new(RmaAnalyzer::new(AnalyzerCfg {
+        on_race: OnRace::Collect,
+        ..AnalyzerCfg::default()
+    }));
+    let out = World::run(WorldCfg::with_ranks(2), mon.clone(), |ctx| {
+        let wins: Vec<WinId> = (0..70).map(|_| ctx.win_allocate(64)).collect();
+        let buf = ctx.alloc(16);
+        // First window: one put, a clean epoch.
+        ctx.win_lock_all(wins[0]);
+        if ctx.rank() == RankId(0) {
+            ctx.put(&buf, 0, 8, RankId(1), 0, wins[0]);
+        }
+        ctx.win_unlock_all(wins[0]);
+        // Window 65: the target stores into its window, then an origin
+        // puts over the same bytes.
+        ctx.win_lock_all(wins[65]);
+        if ctx.rank() == RankId(0) {
+            let _ = ctx.recv(Some(RankId(1)), 1);
+            ctx.put(&buf, 0, 8, RankId(1), 0, wins[65]);
+        } else {
+            let wb = ctx.win_buf(wins[65]);
+            ctx.store_u64(&wb, 0, 42);
+            ctx.send(RankId(0), 1, vec![]);
+        }
+        ctx.win_unlock_all(wins[65]);
+        // Last window: the duplicated put of Figure 9.
+        ctx.win_lock_all(wins[69]);
+        if ctx.rank() == RankId(0) {
+            ctx.put(&buf, 0, 16, RankId(1), 0, wins[69]);
+            ctx.put(&buf, 0, 16, RankId(1), 0, wins[69]);
+        }
+        ctx.win_unlock_all(wins[69]);
+        ctx.barrier();
+    });
+    assert!(out.is_clean(), "{:?} {:?}", out.aborts, out.panics);
+    let stats = mon.window_stats();
+    assert_eq!(stats.len(), 70);
+    // Window 0 saw its put and no race.
+    assert_eq!(stats[0][1].recorded, 1);
+    let races = mon.races();
+    assert_eq!(races.len(), 2, "{races:?}");
+    assert!(
+        races.iter().any(|r| r.existing.kind == AccessKind::LocalWrite
+            && r.new.kind == AccessKind::RmaWrite),
+        "window 65: local store vs remote put must race: {races:?}"
+    );
+    assert!(
+        races.iter().any(|r| r.existing.kind == AccessKind::RmaWrite
+            && r.new.kind == AccessKind::RmaWrite),
+        "window 69: duplicated put must race: {races:?}"
+    );
+    // Windows 0, 65 and 69 are the only ones touched.
+    for (w, per_rank) in stats.iter().enumerate() {
+        let recorded: usize = per_rank.iter().map(|s| s.recorded).sum();
+        let want = match w {
+            0 => 2,      // origin-side + target-side record of one put
+            65 => 3,     // the local store + both sides of the put
+            69 => 4,     // both sides of two puts
+            _ => 0,
+        };
+        assert_eq!(recorded, want, "window {w}");
+    }
 }
 
 /// Messages delivery with interleaved traffic into two windows: same
